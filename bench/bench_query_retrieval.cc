@@ -12,18 +12,14 @@
 #include <algorithm>
 #include <cstdio>
 #include <map>
-#include <memory>
-#include <numeric>
 #include <unordered_map>
 #include <unordered_set>
 
 #include "common/clock.h"
 #include "common/string_util.h"
-#include "common/task_pool.h"
 #include "core/engine.h"
 #include "gen/generator.h"
 #include "harness.h"
-#include "obs/query_trace.h"
 #include "obs/span.h"
 #include "query/query_processor.h"
 #include "stream/replay.h"
@@ -31,94 +27,6 @@
 namespace microprov {
 namespace bench {
 namespace {
-
-/// The pre-optimization query path, kept as the A/B baseline: per-shard
-/// string-keyed candidate lookup, BundleRelevance for every candidate,
-/// full materialization before ranking, serial shard loop. Mirrors the
-/// old BundleQueryProcessor::Search/SearchShards line for line (minus
-/// archive/filters, which this bench does not exercise).
-std::vector<BundleSearchResult> BaselineSearchShards(
-    const std::vector<const ProvenanceEngine*>& engines,
-    const QueryWeights& weights, const BundleQuery& query) {
-  size_t total_bundles = 0;
-  for (const ProvenanceEngine* engine : engines) {
-    total_bundles += engine->pool().size();
-  }
-  std::vector<BundleSearchResult> merged;
-  for (size_t s = 0; s < engines.size(); ++s) {
-    const ProvenanceEngine& engine = *engines[s];
-    ParsedQuery parsed = ParseQuery(query.text);  // old: re-parsed/shard
-    if (parsed.empty()) continue;
-    const SummaryIndex& index = engine.summary_index();
-    const BundlePool& pool = engine.pool();
-    std::unordered_set<BundleId> candidates;
-    for (const std::string& term : parsed.keywords) {
-      for (BundleId id : index.Lookup(IndicantType::kKeyword, term)) {
-        candidates.insert(id);
-      }
-      for (BundleId id : index.Lookup(IndicantType::kHashtag, term)) {
-        candidates.insert(id);
-      }
-    }
-    for (const std::string& word : parsed.raw_words) {
-      for (BundleId id : index.Lookup(IndicantType::kHashtag, word)) {
-        candidates.insert(id);
-      }
-    }
-    for (const std::string& tag : parsed.hashtags) {
-      for (BundleId id : index.Lookup(IndicantType::kHashtag, tag)) {
-        candidates.insert(id);
-      }
-    }
-    for (const std::string& url : parsed.urls) {
-      for (BundleId id : index.Lookup(IndicantType::kUrl, url)) {
-        candidates.insert(id);
-      }
-    }
-    std::vector<BundleSearchResult> results;
-    results.reserve(candidates.size());
-    for (BundleId id : candidates) {
-      const Bundle* bundle = pool.Get(id);
-      if (bundle == nullptr) continue;
-      BundleSearchResult result;
-      result.bundle = id;
-      result.score = BundleRelevance(parsed, *bundle, index,
-                                     total_bundles, query.now, weights);
-      result.size = bundle->size();
-      result.last_post = bundle->end_time();
-      for (auto& [word, count] : bundle->TopKeywords(10)) {
-        result.summary_words.push_back(word);
-      }
-      results.push_back(std::move(result));
-    }
-    size_t take = std::min(query.k, results.size());
-    std::partial_sort(results.begin(), results.begin() + take,
-                      results.end(),
-                      [](const BundleSearchResult& a,
-                         const BundleSearchResult& b) {
-                        if (a.score != b.score) return a.score > b.score;
-                        return a.bundle < b.bundle;
-                      });
-    results.resize(take);
-    for (BundleSearchResult& hit : results) {
-      hit.shard = static_cast<uint32_t>(s);
-      merged.push_back(std::move(hit));
-    }
-  }
-  size_t take = std::min(query.k, merged.size());
-  std::partial_sort(merged.begin(), merged.begin() + take, merged.end(),
-                    BundleResultOrder{});
-  merged.resize(take);
-  return merged;
-}
-
-double Percentile(std::vector<int64_t>* ns, double p) {
-  if (ns->empty()) return 0.0;
-  std::sort(ns->begin(), ns->end());
-  const size_t idx = std::min(
-      ns->size() - 1, static_cast<size_t>(p * (ns->size() - 1) + 0.5));
-  return static_cast<double>((*ns)[idx]);
-}
 
 int Run(int argc, char** argv) {
   BenchOptions options = ParseArgs(argc, argv, /*default_messages=*/80000);
@@ -276,199 +184,6 @@ int Run(int argc, char** argv) {
               "structure' vs flat lists)\n",
               (bundle_recall_sum / n) /
                   std::max(1e-9, flat_recall_sum / n));
-
-  // ---- id-native top-k A/B grid ------------------------------------
-  // Interleaved A/B of the pre-optimization path (BaselineSearchShards
-  // above) against the id-native path, across shard count x query class
-  // x k. Every variant runs against the same shard set within each rep,
-  // so drift (cache warmth, frequency scaling) hits both sides equally.
-  // The query_topk lines are machine-parsed by scripts/bench_snapshot.sh.
-  const QueryWeights grid_weights;
-
-  // Query classes: "selective" = event-signature hashtags (few
-  // candidates per shard); "broad" = the stream's most frequent
-  // keywords (candidate lists cover a large share of all bundles, where
-  // deferred materialization and pruning matter most).
-  std::vector<std::string> selective_texts;
-  for (const QueryCase& qc : queries) {
-    if (selective_texts.size() >= 8) break;
-    selective_texts.push_back(qc.query);
-  }
-  std::unordered_map<std::string, size_t> word_freq;
-  for (const Message& msg : messages) {
-    for (const std::string& word : msg.keywords) ++word_freq[word];
-  }
-  std::vector<std::pair<std::string, size_t>> by_freq(word_freq.begin(),
-                                                      word_freq.end());
-  std::sort(by_freq.begin(), by_freq.end(),
-            [](const auto& a, const auto& b) {
-              if (a.second != b.second) return a.second > b.second;
-              return a.first < b.first;
-            });
-  std::vector<std::string> broad_texts;
-  for (const auto& [word, freq] : by_freq) {
-    if (broad_texts.size() >= 6) break;
-    broad_texts.push_back(word);
-  }
-  struct QueryClass {
-    const char* name;
-    const std::vector<std::string>* texts;
-  };
-  const QueryClass classes[] = {{"selective", &selective_texts},
-                                {"broad", &broad_texts}};
-
-  struct GridSetup {
-    SimulatedClock clock;
-    std::vector<std::unique_ptr<ProvenanceEngine>> engines;
-    std::vector<std::unique_ptr<BundleQueryProcessor>> processors;
-    std::vector<const ProvenanceEngine*> engine_ptrs;
-    std::vector<const BundleQueryProcessor*> shard_ptrs;
-  };
-  auto build_setup = [&](size_t shards) -> std::unique_ptr<GridSetup> {
-    auto setup = std::make_unique<GridSetup>();
-    for (size_t i = 0; i < shards; ++i) {
-      setup->engines.push_back(std::make_unique<ProvenanceEngine>(
-          EngineOptions::ForConfig(IndexConfig::kFullIndex),
-          &setup->clock, nullptr));
-    }
-    StreamReplayer grid_replayer(&setup->clock);
-    Status replay_st =
-        grid_replayer.Replay(messages, [&](const Message& msg) {
-          return setup->engines[msg.id % shards]->Ingest(msg).status();
-        });
-    if (!replay_st.ok()) return nullptr;
-    for (auto& shard_engine : setup->engines) {
-      setup->processors.push_back(
-          std::make_unique<BundleQueryProcessor>(shard_engine.get()));
-      setup->engine_ptrs.push_back(shard_engine.get());
-      setup->shard_ptrs.push_back(setup->processors.back().get());
-    }
-    return setup;
-  };
-
-  static const char* const kVariantNames[] = {"baseline", "opt_noprune",
-                                              "opt_serial", "opt_parallel"};
-  constexpr size_t kNumVariants = 4;
-  const size_t kShardCounts[] = {1, 8};
-  const size_t kKs[] = {1, 10, 100};
-  constexpr int kReps = 5;
-  TaskPool grid_pool(3);
-  SeriesTable grid_table(
-      {"shards", "class", "k", "baseline_p50_us", "opt_p50_us", "speedup"});
-  size_t grid_mismatches = 0;
-  static volatile size_t sink = 0;
-  for (size_t shards : kShardCounts) {
-    std::unique_ptr<GridSetup> setup = build_setup(shards);
-    if (setup == nullptr) {
-      std::fprintf(stderr, "grid ingest failed (%zu shards)\n", shards);
-      return 1;
-    }
-    const Timestamp grid_now = setup->clock.Now();
-    auto run_variant = [&](size_t variant, const std::string& text,
-                           size_t k) {
-      BundleQuery query{.text = text, .k = k, .now = grid_now};
-      switch (variant) {
-        case 0:
-          return BaselineSearchShards(setup->engine_ptrs, grid_weights,
-                                      query);
-        case 1:
-          query.prune = false;
-          return BundleQueryProcessor::SearchShards(
-              setup->shard_ptrs, query, nullptr, 0, nullptr, nullptr);
-        case 2:
-          return BundleQueryProcessor::SearchShards(
-              setup->shard_ptrs, query, nullptr, 0, nullptr, nullptr);
-        default:
-          return BundleQueryProcessor::SearchShards(
-              setup->shard_ptrs, query, nullptr, 0, nullptr, &grid_pool);
-      }
-    };
-    for (const QueryClass& qc : classes) {
-      for (size_t k : kKs) {
-        std::vector<std::vector<int64_t>> lat(kNumVariants);
-        for (int rep = 0; rep < kReps; ++rep) {
-          for (size_t variant = 0; variant < kNumVariants; ++variant) {
-            for (const std::string& text : *qc.texts) {
-              const int64_t t0 = MonotonicNanos();
-              auto results = run_variant(variant, text, k);
-              lat[variant].push_back(MonotonicNanos() - t0);
-              sink = sink + results.size();
-            }
-          }
-        }
-        // Every variant must return byte-identical pages (the
-        // equivalence tests prove this; the bench re-checks so a
-        // reported speedup can never come from a wrong answer).
-        for (const std::string& text : *qc.texts) {
-          const auto want = run_variant(0, text, k);
-          for (size_t variant = 1; variant < kNumVariants; ++variant) {
-            const auto got = run_variant(variant, text, k);
-            bool same = got.size() == want.size();
-            for (size_t i = 0; same && i < got.size(); ++i) {
-              same = got[i].bundle == want[i].bundle &&
-                     got[i].score == want[i].score &&
-                     got[i].shard == want[i].shard &&
-                     got[i].summary_words == want[i].summary_words;
-            }
-            if (!same) {
-              ++grid_mismatches;
-              std::fprintf(stderr,
-                           "MISMATCH shards=%zu k=%zu variant=%s "
-                           "query=%s\n",
-                           shards, k, kVariantNames[variant],
-                           text.c_str());
-            }
-          }
-        }
-        // Prune effectiveness from the shard traces (untimed pass).
-        uint64_t examined = 0, pruned = 0;
-        for (const std::string& text : *qc.texts) {
-          obs::QueryTraceEvent event;
-          BundleQuery query{.text = text, .k = k, .now = grid_now};
-          BundleQueryProcessor::SearchShards(setup->shard_ptrs, query,
-                                             nullptr, 0, &event, nullptr);
-          for (const obs::QueryShardTrace& trace : event.shards) {
-            examined += trace.examined;
-            pruned += trace.pruned;
-          }
-        }
-        const size_t runs = lat[0].size();
-        double p50_us[kNumVariants];
-        for (size_t variant = 0; variant < kNumVariants; ++variant) {
-          p50_us[variant] = Percentile(&lat[variant], 0.5) / 1000.0;
-          std::printf(
-              "query_topk: shards=%zu class=%s k=%zu variant=%s "
-              "runs=%zu p50_us=%.1f p95_us=%.1f mean_us=%.1f\n",
-              shards, qc.name, k, kVariantNames[variant], runs,
-              p50_us[variant], Percentile(&lat[variant], 0.95) / 1000.0,
-              std::accumulate(lat[variant].begin(), lat[variant].end(),
-                              int64_t{0}) /
-                  std::max<double>(1.0, runs) / 1000.0);
-        }
-        const double opt_p50 = p50_us[kNumVariants - 1];
-        const double speedup = p50_us[0] / std::max(opt_p50, 1e-9);
-        std::printf(
-            "query_topk_summary: shards=%zu class=%s k=%zu "
-            "baseline_p50_us=%.1f opt_p50_us=%.1f speedup=%.2f "
-            "examined=%llu pruned=%llu pruned_pct=%.1f\n",
-            shards, qc.name, k, p50_us[0], opt_p50, speedup,
-            (unsigned long long)examined, (unsigned long long)pruned,
-            100.0 * pruned / std::max<uint64_t>(1, examined));
-        grid_table.AddRow({StringPrintf("%zu", shards), qc.name,
-                           StringPrintf("%zu", k),
-                           StringPrintf("%.1f", p50_us[0]),
-                           StringPrintf("%.1f", opt_p50),
-                           StringPrintf("%.2fx", speedup)});
-      }
-    }
-  }
-  EmitTable(grid_table, "query_topk", options);
-  if (grid_mismatches > 0) {
-    std::fprintf(stderr,
-                 "query_topk grid: %zu result mismatches vs baseline\n",
-                 grid_mismatches);
-    return 1;
-  }
   return 0;
 }
 

@@ -159,40 +159,6 @@ def parse_query(path):
             "total_ms": float(m.group(4)),
             "share_pct": float(m.group(5)),
         }
-    # Interleaved A/B grid: old string-scoring path vs id-native top-k,
-    # per shard count x query class x k.
-    result["topk_grid"] = []
-    for m in re.finditer(
-            r"query_topk: shards=(\d+) class=(\w+) k=(\d+) "
-            r"variant=(\w+) runs=(\d+) p50_us=([\d.]+) p95_us=([\d.]+) "
-            r"mean_us=([\d.]+)", text):
-        result["topk_grid"].append({
-            "shards": int(m.group(1)),
-            "class": m.group(2),
-            "k": int(m.group(3)),
-            "variant": m.group(4),
-            "runs": int(m.group(5)),
-            "p50_us": float(m.group(6)),
-            "p95_us": float(m.group(7)),
-            "mean_us": float(m.group(8)),
-        })
-    result["topk_summary"] = []
-    for m in re.finditer(
-            r"query_topk_summary: shards=(\d+) class=(\w+) k=(\d+) "
-            r"baseline_p50_us=([\d.]+) opt_p50_us=([\d.]+) "
-            r"speedup=([\d.]+) examined=(\d+) pruned=(\d+) "
-            r"pruned_pct=([\d.]+)", text):
-        result["topk_summary"].append({
-            "shards": int(m.group(1)),
-            "class": m.group(2),
-            "k": int(m.group(3)),
-            "baseline_p50_us": float(m.group(4)),
-            "opt_p50_us": float(m.group(5)),
-            "speedup": float(m.group(6)),
-            "examined": int(m.group(7)),
-            "pruned": int(m.group(8)),
-            "pruned_pct": float(m.group(9)),
-        })
     return result
 
 def parse_fig13(path):

@@ -30,14 +30,14 @@ echo "=== tier 1: TSan build + concurrency tests ==="
 # HttpExporter* (accept-loop thread vs Stop vs concurrent clients),
 # QueryTrace*/ShardLoad* (scrape-path reads against hot-path writes),
 # and ServiceObservability* (HTTP scrapes racing live ingest plus the
-# frozen-worker/frozen-flusher health verdicts). TaskPool* and
-# QueryConcurrency* cover the parallel query fan-out: the fork-join
-# pool itself, concurrent searches sharing one processor (thread-local
-# scratch), and Service queries racing live ingest.
+# frozen-worker/frozen-flusher health verdicts). QueryConcurrency*
+# covers the query path: concurrent searches sharing one processor
+# (thread-local scratch), and Service queries on the shard workers
+# racing live ingest, Flush and Checkpoint.
 cmake -B build-tsan -S . -DMICROPROV_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j "$JOBS" --target microprov_tests
 ./build-tsan/tests/microprov_tests \
-  --gtest_filter='BoundedSpscQueue*:RouteShard*:ShardedEngine*:Service*:Metrics*:TraceSink*:StatsReporter*:Wal*:EngineStateTest*:ServiceSnapshotTest*:GoldenRecoveryFormatTest*:SlabArena*:PostingArenaAlloc*:Span*:HttpExporter*:QueryTrace*:ShardLoad*:PrometheusLint*:TaskPool*:QueryConcurrency*'
+  --gtest_filter='BoundedSpscQueue*:RouteShard*:ShardedEngine*:Service*:Metrics*:TraceSink*:StatsReporter*:Wal*:EngineStateTest*:ServiceSnapshotTest*:GoldenRecoveryFormatTest*:SlabArena*:PostingArenaAlloc*:Span*:HttpExporter*:QueryTrace*:ShardLoad*:PrometheusLint*:QueryConcurrency*'
 TSAN_OPTIONS=die_after_fork=0 ./build-tsan/tests/microprov_tests \
   --gtest_filter='CrashRecoveryTest*'
 

@@ -44,36 +44,8 @@ bool ParseBool(std::string_view line, std::string_view key, bool* out) {
   return false;
 }
 
-void AppendEscaped(std::string* out, std::string_view s) {
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      case '\r':
-        *out += "\\r";
-        break;
-      case '\t':
-        *out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          StringAppendF(out, "\\u%04x", c);
-        } else {
-          *out += c;
-        }
-    }
-  }
-}
-
 /// Parses the quoted string value of `"key":"..."`, undoing the escapes
-/// AppendEscaped emits. Sets *end_out past the closing quote.
+/// AppendJsonEscaped emits. Sets *end_out past the closing quote.
 bool ParseString(std::string_view line, std::string_view key,
                  std::string* out, size_t* end_out = nullptr,
                  size_t from = 0) {
@@ -213,6 +185,34 @@ bool SplitObjects(std::string_view body,
 
 }  // namespace
 
+void AppendJsonEscaped(std::string* out, std::string_view s) {
+  for (char c : s) {
+    switch (c) {
+      case '"':
+        *out += "\\\"";
+        break;
+      case '\\':
+        *out += "\\\\";
+        break;
+      case '\n':
+        *out += "\\n";
+        break;
+      case '\r':
+        *out += "\\r";
+        break;
+      case '\t':
+        *out += "\\t";
+        break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          StringAppendF(out, "\\u%04x", c);
+        } else {
+          *out += c;
+        }
+    }
+  }
+}
+
 QueryTraceSink::QueryTraceSink(const QueryTraceSinkOptions& options)
     : options_(options),
       ring_(options.capacity),
@@ -290,7 +290,7 @@ std::string QueryTraceSink::EventToJson(const QueryTraceEvent& event) {
   std::string out;
   StringAppendF(&out, "{\"query\":%llu,\"text\":\"",
                 (unsigned long long)event.query_id);
-  AppendEscaped(&out, event.text);
+  AppendJsonEscaped(&out, event.text);
   StringAppendF(&out,
                 "\",\"now\":%lld,\"k\":%llu,\"total_bundles\":%llu,"
                 "\"results\":%llu,\"total_nanos\":%llu,\"slow\":%s,"
@@ -323,7 +323,7 @@ std::string QueryTraceSink::EventToJson(const QueryTraceEvent& event) {
     const SpanRecord& span = event.spans[i];
     StringAppendF(&out, "%s{\"id\":%u,\"parent\":%u,\"name\":\"",
                   i == 0 ? "" : ",", span.id, span.parent);
-    AppendEscaped(&out, span.name);
+    AppendJsonEscaped(&out, span.name);
     StringAppendF(&out,
                   "\",\"shard\":%lld,\"start_nanos\":%lld,"
                   "\"duration_nanos\":%lld}",

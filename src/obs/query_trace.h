@@ -14,6 +14,10 @@
 namespace microprov {
 namespace obs {
 
+/// Appends `s` to *out as the body of a JSON string: quotes,
+/// backslashes and control characters escaped.
+void AppendJsonEscaped(std::string* out, std::string_view s);
+
 /// What one shard contributed to a fanned-out query: the query terms
 /// resolved in that shard's interning dictionary (-1 = term never seen
 /// by the shard), how many candidate bundles it scored, and how many

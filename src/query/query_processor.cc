@@ -1,6 +1,7 @@
 #include "query/query_processor.h"
 
 #include <algorithm>
+#include <iterator>
 
 #include "core/candidate_accumulator.h"
 
@@ -19,8 +20,8 @@ constexpr double kPruneSlack = 1e-12;
 /// Per-thread reusable buffers for the bundle query pipeline: the plan's
 /// term vectors, the epoch-stamped candidate set, the k-bounded heap,
 /// and the archived-id list. Thread-local rather than per-processor so
-/// (a) Search stays const and safe to call concurrently and (b) shard
-/// searches fanned out on a TaskPool get disjoint scratch for free.
+/// Search stays const and safe to call concurrently, and each shard
+/// worker searching its own shard has its own scratch.
 /// Steady-state, a query on a warmed thread performs no allocations
 /// until the k winners are materialized.
 struct QueryScratch {
@@ -96,24 +97,15 @@ size_t MessageSearchIndex::ApproxMemoryUsage() const {
 }
 
 void BundleQueryProcessor::BindMetrics(obs::MetricsRegistry* registry) {
-  queries_counter_ =
-      registry->GetCounter("microprov_query_requests_total", "",
-                           "Bundle search requests served");
   pruned_counter_ = registry->GetCounter(
       "microprov_query_candidates_pruned_total", "",
       "Candidates skipped by the top-k upper-bound prune");
-  latency_hist_ =
-      registry->GetHistogram("microprov_query_latency_nanos", "",
-                             "End-to-end bundle search latency");
   examined_hist_ = registry->GetHistogram(
       "microprov_query_candidates_examined", "",
       "Candidate bundles examined per query (live + archived)");
   scored_hist_ = registry->GetHistogram(
       "microprov_query_candidates_scored", "",
       "Candidate bundles fully scored per query (examined minus pruned)");
-  fanout_hist_ = registry->GetHistogram(
-      "microprov_query_fanout", "",
-      "Shards consulted per cross-shard search");
 }
 
 std::vector<BundleSearchResult> BundleQueryProcessor::Search(
@@ -131,8 +123,6 @@ std::vector<BundleSearchResult> BundleQueryProcessor::SearchParsed(
     const ParsedQuery& parsed, const BundleQuery& query,
     obs::SpanRecorder* recorder, uint32_t parent_span, uint32_t shard,
     obs::QueryShardTrace* shard_trace) const {
-  obs::ScopedLatencyTimer latency_timer(latency_hist_);
-  if (queries_counter_ != nullptr) queries_counter_->Increment();
   const size_t k = query.k;
   const Timestamp now = query.now;
   const SearchFilters& filters = query.filters;
@@ -326,76 +316,62 @@ std::vector<BundleSearchResult> BundleQueryProcessor::SearchParsed(
 std::vector<BundleSearchResult> BundleQueryProcessor::SearchShards(
     const std::vector<const BundleQueryProcessor*>& shards,
     const BundleQuery& query, obs::SpanRecorder* recorder,
-    uint32_t parent_span, obs::QueryTraceEvent* event, TaskPool* pool) {
+    uint32_t parent_span, obs::QueryTraceEvent* event) {
   BundleQuery shard_query = query;
   if (shard_query.total_bundles == 0) {
     for (const BundleQueryProcessor* shard : shards) {
-      if (shard != nullptr) {
-        shard_query.total_bundles += shard->engine_->pool().size();
-      }
+      shard_query.total_bundles += shard->engine_->pool().size();
     }
   }
   if (event != nullptr) {
     event->total_bundles = shard_query.total_bundles;
   }
 
-  // Parse once; every shard evaluates the same ParsedQuery (the former
-  // per-shard Search re-parsed the text N times).
+  // Parse once; every shard evaluates the same ParsedQuery.
   obs::Span parse_span(recorder, "parse", parent_span);
   const ParsedQuery parsed = ParseQuery(shard_query.text);
   parse_span.End();
 
-  // Per-shard output slots are disjoint, the span recorder is
-  // thread-safe, and shard engines/stores are distinct objects, so the
-  // shard lambda is safe to run concurrently. Results are identical to
-  // the serial order: each shard's output is deterministic and the
-  // merge consumes the slots in shard order.
   const size_t n = shards.size();
-  std::vector<std::vector<BundleSearchResult>> per_shard(n);
-  std::vector<obs::QueryShardTrace> traces(n);
-  auto run_shard = [&](size_t i) {
-    if (shards[i] == nullptr) return;
-    const uint32_t shard_index = static_cast<uint32_t>(i);
-    traces[i].shard = shard_index;
-    obs::Span shard_span(recorder, "shard_search", parent_span,
-                         shard_index);
-    per_shard[i] = shards[i]->SearchParsed(
-        parsed, shard_query, recorder, shard_span.id(), shard_index,
-        event != nullptr ? &traces[i] : nullptr);
-    shard_span.End();
-  };
-  if (pool != nullptr && n > 1) {
-    pool->ParallelFor(n, run_shard);
-  } else {
-    for (size_t i = 0; i < n; ++i) run_shard(i);
-  }
-
-  std::vector<BundleSearchResult> merged;
-  size_t consulted = 0;
+  std::vector<std::vector<BundleSearchResult>> pages(n);
+  std::vector<obs::QueryShardTrace> traces(event != nullptr ? n : 0);
   for (size_t i = 0; i < n; ++i) {
-    if (shards[i] == nullptr) continue;
-    ++consulted;
-    for (BundleSearchResult& hit : per_shard[i]) {
-      hit.shard = static_cast<uint32_t>(i);
-      merged.push_back(std::move(hit));
-    }
-    if (event != nullptr) {
-      event->shards.push_back(std::move(traces[i]));
-    }
+    pages[i] = shards[i]->SearchShard(
+        parsed, shard_query, static_cast<uint32_t>(i), recorder,
+        parent_span, event != nullptr ? &traces[i] : nullptr);
   }
-  for (const BundleQueryProcessor* shard : shards) {
-    if (shard != nullptr && shard->fanout_hist_ != nullptr) {
-      shard->fanout_hist_->Observe(consulted);
-      break;  // the histogram is shared; one observation per search
-    }
-  }
+  return MergeShards(std::move(pages), query.k, recorder, parent_span,
+                     event, std::move(traces));
+}
+
+std::vector<BundleSearchResult> BundleQueryProcessor::SearchShard(
+    const ParsedQuery& parsed, const BundleQuery& query, uint32_t shard,
+    obs::SpanRecorder* recorder, uint32_t parent_span,
+    obs::QueryShardTrace* shard_trace) const {
+  if (shard_trace != nullptr) shard_trace->shard = shard;
+  obs::Span shard_span(recorder, "shard_search", parent_span, shard);
+  std::vector<BundleSearchResult> page = SearchParsed(
+      parsed, query, recorder, shard_span.id(), shard, shard_trace);
+  for (BundleSearchResult& hit : page) hit.shard = shard;
+  return page;
+}
+
+std::vector<BundleSearchResult> BundleQueryProcessor::MergeShards(
+    std::vector<std::vector<BundleSearchResult>> pages, size_t k,
+    obs::SpanRecorder* recorder, uint32_t parent_span,
+    obs::QueryTraceEvent* event, std::vector<obs::QueryShardTrace> traces) {
   obs::Span merge_span(recorder, "merge", parent_span);
-  size_t take = std::min(query.k, merged.size());
+  std::vector<BundleSearchResult> merged;
+  for (std::vector<BundleSearchResult>& page : pages) {
+    std::move(page.begin(), page.end(), std::back_inserter(merged));
+  }
+  size_t take = std::min(k, merged.size());
   std::partial_sort(merged.begin(), merged.begin() + take, merged.end(),
                     BundleResultOrder{});
   merged.resize(take);
   merge_span.End();
   if (event != nullptr) {
+    event->shards = std::move(traces);
     event->result_count = merged.size();
   }
   return merged;

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "common/slab_arena.h"
-#include "common/task_pool.h"
 #include "core/engine.h"
 #include "index/doc_store.h"
 #include "index/memory_index.h"
@@ -135,12 +134,13 @@ struct BundleQuery {
 /// the shard dictionary once, candidates stream through an epoch-stamped
 /// accumulator into a k-bounded heap, and only the k winners are
 /// materialized (summary words, sizes). Search is const and thread-safe
-/// against other Search calls (scratch is thread-local); callers must
-/// still serialize Search against engine mutation, as before.
+/// against other Search calls (scratch is thread-local), but not against
+/// mutation of its engine: the engine's own writer must run it (as
+/// Service does, on the shard worker) or be quiescent.
 class BundleQueryProcessor {
  public:
-  /// `metrics`, when set, receives query latency / candidate-count
-  /// distributions and a served-query counter (shared across shard
+  /// `metrics`, when set, receives per-shard candidate-count
+  /// distributions and the pruned-candidate counter (shared across shard
   /// processors bound to the same registry; must outlive the processor).
   explicit BundleQueryProcessor(const ProvenanceEngine* engine,
                                 QueryWeights weights = {},
@@ -172,25 +172,38 @@ class BundleQueryProcessor {
   /// merges the per-shard top-k into a single top-k by Eq. 7 score.
   /// Scores use the combined live-bundle count across shards, so the
   /// merge is order-equivalent to a single engine holding the union —
-  /// modulo bundles the shard routing split (see DESIGN.md).
+  /// modulo bundles the shard routing split (see DESIGN.md). Shards are
+  /// searched one after another on the calling thread.
   static std::vector<BundleSearchResult> SearchShards(
       const std::vector<const BundleQueryProcessor*>& shards,
       const BundleQuery& query) {
-    return SearchShards(shards, query, nullptr, 0, nullptr, nullptr);
+    return SearchShards(shards, query, nullptr, 0, nullptr);
   }
 
-  /// Traced fan-out: opens one "shard_search" span per consulted shard
-  /// plus a "merge" span under `parent_span`, and fills `event` (when
-  /// set) with the resolved IDF total and per-shard contributions.
-  /// With `pool` set, per-shard searches run concurrently on the pool's
-  /// workers (plus the calling thread); results are identical to the
-  /// serial order — per-shard output is deterministic and the merge
-  /// consumes shards in index order either way.
+  /// Traced fan-out: opens a "parse" span, one "shard_search" span per
+  /// shard and a "merge" span under `parent_span`, and fills `event`
+  /// (when set) with the resolved IDF total and per-shard contributions.
   static std::vector<BundleSearchResult> SearchShards(
       const std::vector<const BundleQueryProcessor*>& shards,
       const BundleQuery& query, obs::SpanRecorder* recorder,
-      uint32_t parent_span, obs::QueryTraceEvent* event,
-      TaskPool* pool = nullptr);
+      uint32_t parent_span, obs::QueryTraceEvent* event);
+
+  /// One shard's part of a fan-out whose caller parsed the query once
+  /// and set `query.total_bundles` to the population across shards.
+  /// Runs under a "shard_search" span and tags each hit with `shard`.
+  std::vector<BundleSearchResult> SearchShard(
+      const ParsedQuery& parsed, const BundleQuery& query, uint32_t shard,
+      obs::SpanRecorder* recorder, uint32_t parent_span,
+      obs::QueryShardTrace* shard_trace) const;
+
+  /// Merges per-shard pages into one top-`k` page under
+  /// BundleResultOrder, inside a "merge" span. With `event` set, moves
+  /// `traces` (one per shard, or empty) into it with the result count.
+  static std::vector<BundleSearchResult> MergeShards(
+      std::vector<std::vector<BundleSearchResult>> pages, size_t k,
+      obs::SpanRecorder* recorder, uint32_t parent_span,
+      obs::QueryTraceEvent* event,
+      std::vector<obs::QueryShardTrace> traces);
 
   /// Cap on archived bundles decoded per query (point reads from disk).
   static constexpr size_t kMaxArchivedCandidates = 64;
@@ -199,8 +212,7 @@ class BundleQueryProcessor {
   void BindMetrics(obs::MetricsRegistry* registry);
 
   /// The post-parse pipeline, shared by Search (which parses) and
-  /// SearchShards (which parses once and fans the ParsedQuery out to
-  /// every shard).
+  /// SearchShard (whose caller parsed once for every shard).
   std::vector<BundleSearchResult> SearchParsed(
       const ParsedQuery& parsed, const BundleQuery& query,
       obs::SpanRecorder* recorder, uint32_t parent_span, uint32_t shard,
@@ -211,12 +223,9 @@ class BundleQueryProcessor {
   BundleStore* archive_;
 
   // Observability handles (null without a registry; never owned).
-  obs::Counter* queries_counter_ = nullptr;
   obs::Counter* pruned_counter_ = nullptr;
-  obs::HistogramMetric* latency_hist_ = nullptr;
   obs::HistogramMetric* examined_hist_ = nullptr;
   obs::HistogramMetric* scored_hist_ = nullptr;
-  obs::HistogramMetric* fanout_hist_ = nullptr;
 };
 
 }  // namespace microprov

@@ -75,18 +75,26 @@ StatusOr<std::unique_ptr<Service>> Service::Open(
   sharded_options.engine.metrics = service->registry_.get();
   sharded_options.engine.trace = service->trace_.get();
   sharded_options.health = options.health;
-  // The caller participates in the fan-out, so more workers than the
-  // remaining shards would only idle.
-  sharded_options.query_threads =
-      options.num_shards > 0
-          ? std::min(options.query_threads, options.num_shards - 1)
-          : 0;
   // Workers start only after recovery has finished mutating shard state.
   sharded_options.defer_workers = true;
   service->shard_arena_budget_bytes_ =
       sharded_options.engine.memory.index_arena_bytes;
   service->sharded_ = std::make_unique<ShardedEngine>(sharded_options,
                                                       std::move(archives));
+  service->processors_.reserve(options.num_shards);
+  for (size_t i = 0; i < options.num_shards; ++i) {
+    service->processors_.emplace_back(
+        &service->sharded_->shard(i), options.weights,
+        i < service->stores_.size() ? service->stores_[i].get() : nullptr,
+        service->registry_.get());
+  }
+  service->query_requests_counter_ = service->registry_->GetCounter(
+      "microprov_query_requests_total", "", "Service::Search calls served");
+  service->query_latency_hist_ = service->registry_->GetHistogram(
+      "microprov_query_latency_nanos", "",
+      "Service::Search call latency, per request");
+  service->query_fanout_hist_ = service->registry_->GetHistogram(
+      "microprov_query_fanout", "", "Shards consulted per Service::Search");
 
   if (options.durability.enabled()) {
     auto manager_or = recovery::DurabilityManager::Open(
@@ -335,7 +343,8 @@ StatusOr<IngestResult> Service::Ingest(const Message& msg) {
 
 StatusOr<std::vector<BundleSearchResult>> Service::Search(
     const BundleQuery& query) {
-  std::lock_guard<std::mutex> lock(mu_);
+  obs::ScopedLatencyTimer latency_timer(query_latency_hist_);
+  query_requests_counter_->Increment();
   // Tracing decisions up front: a query is traced when it is sampled
   // into the main ring OR the slow log is armed (a slow query must be
   // captured with its spans even when sampled out — the routing
@@ -345,48 +354,54 @@ StatusOr<std::vector<BundleSearchResult>> Service::Search(
   const bool tracing =
       query_trace_ != nullptr &&
       (sampled || query_trace_->options().slow_query_nanos > 0);
+  obs::SpanRecorder recorder;
+  obs::SpanRecorder* spans = tracing ? &recorder : nullptr;
+  obs::QueryTraceEvent event;
+  obs::Span root(spans, "search");
 
-  // Quiesce: every accepted message must be visible to the query.
-  if (!drained_) {
-    MICROPROV_RETURN_IF_ERROR(sharded_->Flush());
-  }
+  obs::Span parse_span(spans, "parse", root.id());
+  const ParsedQuery parsed = ParseQuery(query.text);
+  parse_span.End();
 
-  std::vector<BundleQueryProcessor> processors;
-  processors.reserve(sharded_->num_shards());
-  for (size_t i = 0; i < sharded_->num_shards(); ++i) {
-    BundleStore* store = i < stores_.size() ? stores_[i].get() : nullptr;
-    processors.emplace_back(&sharded_->shard(i), options_.weights, store,
-                            registry_.get());
+  // One read per shard, run by the shard workers. Each shard searches
+  // against the global population the read resolved, so the pages merge
+  // exactly as SearchShards merges them over flushed engines.
+  const size_t num_shards = processors_.size();
+  BundleQuery effective = query;
+  std::vector<std::vector<BundleSearchResult>> pages(num_shards);
+  std::vector<obs::QueryShardTrace> traces(tracing ? num_shards : 0);
+  std::unique_lock<std::mutex> lock(mu_);
+  if (effective.now == 0) effective.now = clock_.value();
+  MICROPROV_RETURN_IF_ERROR(sharded_->Read(
+      [&](size_t i, size_t total_bundles) {
+        BundleQuery shard_query = effective;
+        if (shard_query.total_bundles == 0) {
+          shard_query.total_bundles = total_bundles;
+        }
+        if (i == 0) event.total_bundles = shard_query.total_bundles;
+        pages[i] = processors_[i].SearchShard(
+            parsed, shard_query, static_cast<uint32_t>(i), spans,
+            root.id(), tracing ? &traces[i] : nullptr);
+      },
+      std::move(lock)));
+  for (size_t i = 0; i < num_shards; ++i) {
     sharded_->load_tracker(i)->NoteQuery();
   }
-  std::vector<const BundleQueryProcessor*> shard_ptrs;
-  shard_ptrs.reserve(processors.size());
-  for (const auto& p : processors) shard_ptrs.push_back(&p);
+  query_fanout_hist_->Observe(num_shards);
 
-  BundleQuery effective = query;
-  if (effective.now == 0) effective.now = clock_.value();
-  if (!tracing) {
-    return BundleQueryProcessor::SearchShards(shard_ptrs, effective,
-                                              nullptr, 0, nullptr,
-                                              sharded_->query_pool());
-  }
+  std::vector<BundleSearchResult> results = BundleQueryProcessor::MergeShards(
+      std::move(pages), effective.k, spans, root.id(),
+      tracing ? &event : nullptr, std::move(traces));
+  if (!tracing) return results;
 
-  obs::SpanRecorder recorder;
-  obs::QueryTraceEvent event;
+  root.End();
   event.query_id = query_trace_->NextQueryId();
   event.text = effective.text;
   event.now = effective.now;
   event.k = effective.k;
-  obs::Span root(&recorder, "search");
-  const uint32_t root_id = root.id();
-  std::vector<BundleSearchResult> results =
-      BundleQueryProcessor::SearchShards(shard_ptrs, effective,
-                                         &recorder, root_id, &event,
-                                         sharded_->query_pool());
-  root.End();
   event.spans = recorder.Take();
   for (const obs::SpanRecord& span : event.spans) {
-    if (span.id == root_id) {
+    if (span.id == root.id()) {
       event.total_nanos = static_cast<uint64_t>(span.duration_nanos);
       break;
     }
@@ -583,32 +598,6 @@ std::vector<obs::ShardHealthSnapshot> Service::Health() const {
   return out;
 }
 
-namespace {
-
-void AppendJsonEscaped(std::string* out, std::string_view s) {
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          StringAppendF(out, "\\u%04x", c);
-        } else {
-          *out += c;
-        }
-    }
-  }
-}
-
-}  // namespace
-
 std::string Service::StatusJson() const {
   // One Stats() call drives the whole document so the shard table and
   // the aggregates come from the same instant.
@@ -646,7 +635,7 @@ std::string Service::StatusJson() const {
         &out,
         "%s{\"shard\":%u,\"health\":\"%s\",\"reason\":\"",
         i == 0 ? "" : ",", h.shard, obs::ShardHealthName(h.health));
-    AppendJsonEscaped(&out, h.reason);
+    obs::AppendJsonEscaped(&out, h.reason);
     StringAppendF(
         &out,
         "\",\"ingest_rate\":%.1f,\"query_rate\":%.1f,"

@@ -37,10 +37,6 @@ struct ServiceOptions {
   EngineOptions engine;
   /// Eq. 7 ranking weights used by Search.
   QueryWeights weights;
-  /// Worker threads for parallel per-shard query fan-out (0 = search
-  /// shards serially on the calling thread). Capped by usefulness at
-  /// num_shards - 1: the caller participates in the fan-out.
-  size_t query_threads = 0;
   /// When non-empty, each shard gets an on-disk BundleStore under
   /// `<archive_dir>/shard-<i>`; bundles leaving memory (refinement,
   /// Drain) land there and stay searchable.
@@ -144,7 +140,7 @@ struct ServiceStats {
 ///
 ///   auto service_or = Service::Open({.num_shards = 4});
 ///   service->Ingest(msg);                                // non-blocking*
-///   service->Search({.text = "#redsox", .k = 10});       // quiesces first
+///   service->Search({.text = "#redsox", .k = 10});       // sees every Ingest
 ///   service->Drain();                                    // end-of-stream
 ///
 /// (*) Ingest enqueues onto the message's shard and returns; it blocks
@@ -154,10 +150,12 @@ struct ServiceStats {
 /// — callers needing per-message placement use ProvenanceEngine
 /// directly.
 ///
-/// Thread contract: Service calls are serialized internally; any thread
-/// may call them, one at a time. Search flushes the ingest queues
-/// before reading shard state, so results always reflect every message
-/// already ingested.
+/// Thread contract: any thread may call any method, concurrently. Ingest,
+/// Flush, Checkpoint and Drain are serialized by the service lock.
+/// Search holds that lock only to queue one read per shard; the shard
+/// workers then run it between ingest batches, so every Search sees
+/// every message whose Ingest returned before the Search began, and
+/// concurrent Searches run on the shard workers in parallel.
 class Service {
  public:
   static StatusOr<std::unique_ptr<Service>> Open(
@@ -172,8 +170,9 @@ class Service {
   /// queue. Fails with FailedPrecondition after Drain().
   StatusOr<IngestResult> Ingest(const Message& msg);
 
-  /// Cross-shard top-k bundle retrieval. A zero `query.now` defaults to
-  /// the service clock (latest ingested message date).
+  /// Cross-shard top-k bundle retrieval, run on the shard workers (after
+  /// Drain, on the caller). A zero `query.now` defaults to the service
+  /// clock (latest ingested message date).
   StatusOr<std::vector<BundleSearchResult>> Search(const BundleQuery& query);
 
   /// Barrier: returns once every accepted message is ingested.
@@ -286,7 +285,7 @@ class Service {
   std::string StatusJson() const;
 
   ServiceOptions options_;
-  /// Serializes Ingest/Search/Flush/Drain.
+  /// Serializes Ingest/Flush/Checkpoint/Drain and Search's enqueue.
   std::mutex mu_;
   AtomicWatermark clock_;
   /// Owns every metric; declared before (destroyed after) all the
@@ -297,6 +296,12 @@ class Service {
   std::vector<std::unique_ptr<BundleStore>> stores_;
   std::unique_ptr<recovery::DurabilityManager> durability_;
   std::unique_ptr<ShardedEngine> sharded_;
+  /// One per shard, bound to the shard's engine and store; built in Open.
+  std::vector<BundleQueryProcessor> processors_;
+  /// Per-request query metrics, observed once per Search call.
+  obs::Counter* query_requests_counter_ = nullptr;
+  obs::HistogramMetric* query_latency_hist_ = nullptr;
+  obs::HistogramMetric* query_fanout_hist_ = nullptr;
   /// Messages accepted by Ingest over the service's whole lifetime,
   /// including recovered ones (guarded by mu_; checkpointed).
   uint64_t accepted_ = 0;

@@ -20,6 +20,40 @@ uint32_t RouteShard(const Message& msg, size_t num_shards) {
   return static_cast<uint32_t>(Fnv1a64(key) % num_shards);
 }
 
+/// One Read in flight, shared by its caller and the workers it was
+/// queued on (fields guarded by `mu`).
+struct ShardedEngine::PendingRead {
+  PendingRead(const ReadFn* fn, size_t expected)
+      : fn(fn), expected(expected) {}
+
+  /// Worker side: publishes the shard's live-bundle count, waits at the
+  /// count barrier, then runs the caller's function.
+  void Run(size_t shard, size_t live_bundles) {
+    std::unique_lock<std::mutex> lock(mu);
+    total += live_bundles;
+    if (++arrived == expected) cv.notify_all();
+    cv.wait(lock, [&] { return arrived == expected || aborted; });
+    if (!aborted) {
+      const size_t sum = total;
+      lock.unlock();
+      (*fn)(shard, sum);
+      lock.lock();
+    }
+    // Notify under the lock: once the caller sees the last finish, it
+    // destroys the read.
+    if (++finished == expected) cv.notify_all();
+  }
+
+  const ReadFn* fn;
+  std::mutex mu;
+  std::condition_variable cv;
+  size_t expected;     // shards that will run the read
+  size_t arrived = 0;  // live-bundle counts published so far
+  size_t total = 0;    // their sum
+  size_t finished = 0;
+  bool aborted = false;
+};
+
 ShardedEngine::ShardedEngine(const ShardedEngineOptions& options,
                              std::vector<BundleArchive*> archives)
     : options_(options) {
@@ -59,17 +93,14 @@ ShardedEngine::ShardedEngine(const ShardedEngineOptions& options,
         registry->GetHistogram("microprov_shard_batch_size", "",
                                "Messages per worker dequeue batch");
   }
-  if (options_.query_threads > 0) {
-    query_pool_ = std::make_unique<TaskPool>(options_.query_threads);
-  }
   if (!options_.defer_workers) Start();
 }
 
 void ShardedEngine::Start() {
   if (started_) return;
   started_ = true;
-  for (auto& shard : shards_) {
-    shard->worker = std::thread([this, s = shard.get()] { WorkerLoop(s); });
+  for (size_t i = 0; i < shards_.size(); ++i) {
+    shards_[i]->worker = std::thread([this, i] { WorkerLoop(i); });
   }
 }
 
@@ -112,7 +143,7 @@ Status ShardedEngine::Submit(const Message& msg, uint32_t* shard_out) {
   }
   bool blocked = false;
   int64_t blocked_nanos = 0;
-  if (!shard.queue.Push(msg, &blocked, &blocked_nanos)) {
+  if (!shard.queue.Push(Item{msg, nullptr}, &blocked, &blocked_nanos)) {
     std::lock_guard<std::mutex> lock(shard.mu);
     --shard.in_flight;
     return Status::FailedPrecondition("shard queue closed");
@@ -128,10 +159,48 @@ Status ShardedEngine::Submit(const Message& msg, uint32_t* shard_out) {
   return Status::OK();
 }
 
+Status ShardedEngine::Read(const ReadFn& fn,
+                           std::unique_lock<std::mutex> lock) {
+  if (!started_ || drained_) {
+    // No workers: the caller has every engine to itself.
+    const size_t total = TotalPoolSize();
+    for (size_t i = 0; i < shards_.size(); ++i) fn(i, total);
+    return Status::OK();
+  }
+  for (auto& shard : shards_) {
+    std::lock_guard<std::mutex> shard_lock(shard->mu);
+    if (!shard->error.ok()) return shard->error;
+  }
+  PendingRead read(&fn, shards_.size());
+  Status status;
+  for (size_t i = 0; i < shards_.size() && status.ok(); ++i) {
+    Shard& shard = *shards_[i];
+    {
+      std::lock_guard<std::mutex> shard_lock(shard.mu);
+      ++shard.reads_in_flight;
+    }
+    if (!shard.queue.Push(Item{Message(), &read})) {
+      Settle(&shard, 0, 1);
+      // Release the workers already holding the read, unrun.
+      std::lock_guard<std::mutex> read_lock(read.mu);
+      read.aborted = true;
+      read.expected = i;
+      read.cv.notify_all();
+      status = Status::FailedPrecondition("shard queue closed");
+    }
+  }
+  lock.unlock();
+  std::unique_lock<std::mutex> read_lock(read.mu);
+  read.cv.wait(read_lock, [&] { return read.finished == read.expected; });
+  return status;
+}
+
 Status ShardedEngine::Flush() {
   for (auto& shard : shards_) {
     std::unique_lock<std::mutex> lock(shard->mu);
-    shard->all_ingested.wait(lock, [&] { return shard->in_flight == 0; });
+    shard->idle.wait(lock, [&] {
+      return shard->in_flight == 0 && shard->reads_in_flight == 0;
+    });
     if (!shard->error.ok()) return shard->error;
   }
   // The barrier makes shard engines readable from this thread; use the
@@ -162,18 +231,32 @@ Status ShardedEngine::Drain() {
   return Status::OK();
 }
 
-void ShardedEngine::WorkerLoop(Shard* shard) {
-  std::vector<Message> batch;
+void ShardedEngine::WorkerLoop(size_t index) {
+  Shard* shard = shards_[index].get();
+  std::vector<Item> batch;
   batch.reserve(options_.max_batch);
   while (true) {
     batch.clear();
-    const size_t n =
-        shard->queue.PopBatch(&batch, options_.max_batch);
-    if (n == 0) break;  // closed and empty
-    for (const Message& msg : batch) {
+    if (shard->queue.PopBatch(&batch, options_.max_batch) == 0) {
+      break;  // closed and empty
+    }
+    // Reads are not messages: they stay out of the ingest counters and
+    // batch sizes. Messages ahead of a read are settled before it runs,
+    // so a read waiting on a slower shard leaves no backlog here; the
+    // batch's reads settle last, keeping Flush behind its counters.
+    size_t unsettled = 0;
+    uint64_t reads = 0;
+    for (Item& item : batch) {
+      if (item.read != nullptr) {
+        Settle(shard, unsettled, 0);
+        unsettled = 0;
+        item.read->Run(index, shard->engine.pool().size());
+        ++reads;
+        continue;
+      }
       // Per-shard stream time: the newest date this shard has seen.
-      shard->clock.Advance(msg.date);
-      StatusOr<IngestResult> result = shard->engine.Ingest(msg);
+      shard->clock.Advance(item.msg.date);
+      StatusOr<IngestResult> result = shard->engine.Ingest(item.msg);
       if (result.ok()) {
         shard->ingested.Add();
         if (shard->ingested_counter != nullptr) {
@@ -183,19 +266,28 @@ void ShardedEngine::WorkerLoop(Shard* shard) {
         std::lock_guard<std::mutex> lock(shard->mu);
         if (shard->error.ok()) shard->error = result.status();
       }
+      ++unsettled;
     }
-    shard->batches.Add();
-    shard->load_tracker->NoteIngested(n);
-    if (batches_counter_ != nullptr) batches_counter_->Increment();
-    if (batch_size_hist_ != nullptr) batch_size_hist_->Observe(n);
+    const size_t messages = batch.size() - reads;
+    if (messages > 0) {
+      shard->batches.Add();
+      if (batches_counter_ != nullptr) batches_counter_->Increment();
+      if (batch_size_hist_ != nullptr) batch_size_hist_->Observe(messages);
+    }
     if (shard->depth_gauge != nullptr) {
       shard->depth_gauge->Set(static_cast<int64_t>(shard->queue.size()));
     }
-    {
-      std::lock_guard<std::mutex> lock(shard->mu);
-      shard->in_flight -= n;
-      if (shard->in_flight == 0) shard->all_ingested.notify_all();
-    }
+    Settle(shard, unsettled, reads);
+  }
+}
+
+void ShardedEngine::Settle(Shard* shard, size_t messages, uint64_t reads) {
+  if (messages > 0) shard->load_tracker->NoteIngested(messages);
+  std::lock_guard<std::mutex> lock(shard->mu);
+  shard->in_flight -= messages;
+  shard->reads_in_flight -= reads;
+  if (shard->in_flight == 0 && shard->reads_in_flight == 0) {
+    shard->idle.notify_all();
   }
 }
 

@@ -3,6 +3,7 @@
 
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -11,7 +12,6 @@
 #include "common/atomic_counter.h"
 #include "common/bounded_queue.h"
 #include "common/status.h"
-#include "common/task_pool.h"
 #include "core/engine.h"
 #include "obs/shard_health.h"
 
@@ -39,10 +39,6 @@ struct ShardedEngineOptions {
   /// Start() once it is done mutating shard state single-threaded
   /// (checkpoint import + WAL replay at recovery).
   bool defer_workers = false;
-  /// Worker threads in the persistent query fan-out pool (the calling
-  /// thread always participates, so 0 still works — per-shard searches
-  /// just run serially on the caller). The pool idles between queries.
-  size_t query_threads = 0;
   /// Thresholds for the per-shard ShardLoadTracker verdicts.
   obs::ShardHealthOptions health;
 };
@@ -68,15 +64,17 @@ uint32_t RouteShard(const Message& msg, size_t num_shards);
 /// Hash-partitioned parallel ingestion over N single-writer
 /// ProvenanceEngine instances. The paper's engine is single-writer by
 /// design (the stream is totally ordered); this preserves that invariant
-/// per shard: each engine is mutated only by its own worker thread,
-/// fed through a bounded SPSC queue.
+/// per shard: each engine is touched only by its own worker thread, fed
+/// through a bounded FIFO queue that carries both messages and reads.
 ///
 /// Threading contract:
-///   * Submit / Flush / Drain must be called from one thread at a time
-///     (the Service façade serializes them).
-///   * Reading shard engines (shard(), query fan-out) is only safe after
-///     Flush() or Drain() returned with no Submit since — the flush
-///     barrier establishes the necessary happens-before edge.
+///   * Submit / Read / Flush / Drain must be called from one thread at a
+///     time (the Service façade serializes them), which keeps reads in
+///     the same order relative to each other on every shard.
+///   * A Read runs on the workers and needs no other synchronization.
+///     Reading shard engines directly (shard()) is only safe after
+///     Flush() or Drain() returned with no Submit or Read since: the
+///     flush barrier establishes the happens-before edge.
 class ShardedEngine {
  public:
   /// `archives` supplies one BundleArchive per shard (may be empty =
@@ -99,9 +97,22 @@ class ShardedEngine {
   /// ingest error.
   Status Submit(const Message& msg, uint32_t* shard_out = nullptr);
 
+  using ReadFn = std::function<void(size_t shard, size_t total_bundles)>;
+
+  /// Runs `fn(shard, total_bundles)` once per shard on the shard's own
+  /// worker, as one item of its queue: behind every message submitted
+  /// before the call, so it sees exactly those. `total_bundles` is the
+  /// live-bundle count across shards at that point: each worker
+  /// publishes its own and waits for the rest before calling `fn`.
+  /// `lock` is the caller's hold on what serializes Submit and Read; it
+  /// is released once the read is queued, before the wait. When no
+  /// workers run (before Start, after Drain), `fn` runs on the caller
+  /// with `lock` held. Fails with a shard's latched ingest error.
+  Status Read(const ReadFn& fn, std::unique_lock<std::mutex> lock);
+
   /// Barrier: blocks until every submitted message has been fully
-  /// ingested. After it returns, shard engine state is safe to read
-  /// from the calling thread.
+  /// ingested and every posted read has run. After it returns, shard
+  /// engine state is safe to read from the calling thread.
   Status Flush();
 
   /// End-of-stream: Flush, stop the workers, and (when a shard has an
@@ -135,22 +146,16 @@ class ShardedEngine {
   void SeedIngested(size_t i, uint64_t n);
 
   /// Mutable shard engine under the flush-barrier contract: callable
-  /// after Start(), but only from the serialized Submit/Flush/Drain
-  /// thread and only after Flush()/Drain() returned with no Submit
-  /// since (the same window in which shard() is readable). Used by the
-  /// incremental-checkpoint path, whose ExportDelta advances the
+  /// after Start(), but only from the serialized Submit/Read/Flush/Drain
+  /// thread and only after Flush()/Drain() returned with no Submit or
+  /// Read since (the same window in which shard() is readable). Used by
+  /// the incremental-checkpoint path, whose ExportDelta advances the
   /// engine's delta cursors.
   ProvenanceEngine* mutable_shard_quiesced(size_t i) {
     return &shards_[i]->engine;
   }
 
   ShardStatsSnapshot shard_stats(size_t i) const;
-
-  /// The persistent query fan-out pool, or null when query_threads == 0
-  /// (callers fall back to serial per-shard search). Safe to share with
-  /// BundleQueryProcessor::SearchShards under the same flush-barrier
-  /// contract as shard().
-  TaskPool* query_pool() const { return query_pool_.get(); }
 
   /// The shard's load tracker (never null; thread-safe). The ingest
   /// hot paths feed it; the stats/scrape path calls Evaluate on it.
@@ -178,6 +183,14 @@ class ShardedEngine {
   MemoryBreakdown MemoryUsage() const;
 
  private:
+  struct PendingRead;
+  /// One entry of a shard's queue: a message, or a Read when `read` is
+  /// set.
+  struct Item {
+    Message msg;
+    PendingRead* read = nullptr;
+  };
+
   struct Shard {
     Shard(const EngineOptions& engine_options, BundleArchive* archive,
           size_t queue_capacity)
@@ -187,14 +200,16 @@ class ShardedEngine {
     /// Advanced only by the worker thread (per-shard stream time).
     SimulatedClock clock;
     ProvenanceEngine engine;
-    BoundedSpscQueue<Message> queue;
+    BoundedSpscQueue<Item> queue;
     std::thread worker;
 
-    /// Flush barrier: messages submitted but not yet ingested.
+    /// Flush barrier: messages submitted but not yet ingested, and
+    /// reads queued but not yet run (all guarded by mu).
     std::mutex mu;
-    std::condition_variable all_ingested;
+    std::condition_variable idle;
     uint64_t in_flight = 0;
-    Status error;  // first worker-side ingest error, guarded by mu
+    uint64_t reads_in_flight = 0;
+    Status error;  // first worker-side ingest error
 
     AtomicCounter enqueued;
     AtomicCounter ingested;
@@ -208,11 +223,12 @@ class ShardedEngine {
     obs::Gauge* depth_gauge = nullptr;
   };
 
-  void WorkerLoop(Shard* shard);
+  void WorkerLoop(size_t index);
+  /// Marks `messages` ingested and `reads` run on the flush barrier.
+  void Settle(Shard* shard, size_t messages, uint64_t reads);
 
   ShardedEngineOptions options_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::unique_ptr<TaskPool> query_pool_;
   bool started_ = false;
   bool drained_ = false;
 

@@ -1,12 +1,13 @@
 // Thread-safety coverage for the query path, run under TSan by
 // scripts/tier1.sh: concurrent flat searches (the former mutable-scratch
 // data race), concurrent bundle searches on one processor (thread-local
-// query scratch), TaskPool-driven shard fan-out, and Service searches
-// racing live ingest with a query pool attached.
+// query scratch), and Service searches on the shard workers racing live
+// ingest, Flush and Checkpoint.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <string>
 #include <thread>
@@ -117,90 +118,82 @@ TEST(QueryConcurrencyTest, BundleSearchesShareOneProcessor) {
   EXPECT_EQ(mismatches.load(), 0);
 }
 
-TEST(QueryConcurrencyTest, TaskPoolFanOutAcrossShards) {
-  constexpr size_t kNumShards = 4;
-  std::vector<std::unique_ptr<SimulatedClock>> clocks;
-  std::vector<std::unique_ptr<ProvenanceEngine>> engines;
-  for (size_t i = 0; i < kNumShards; ++i) {
-    clocks.push_back(std::make_unique<SimulatedClock>(kTestEpoch));
-    engines.push_back(std::make_unique<ProvenanceEngine>(
-        EngineOptions::ForConfig(IndexConfig::kFullIndex),
-        clocks.back().get(), nullptr));
-  }
-  for (int i = 0; i < 400; ++i) {
-    const size_t shard = i % kNumShards;
-    Message msg = TextMessage(i + 1, kTestEpoch + i * 30,
-                              "user" + std::to_string(i % 5),
-                              kTexts[i % std::size(kTexts)]);
-    clocks[shard]->Advance(msg.date);
-    ASSERT_TRUE(engines[shard]->Ingest(msg).ok());
-  }
-  std::vector<BundleQueryProcessor> processors;
-  processors.reserve(kNumShards);
-  for (size_t i = 0; i < kNumShards; ++i) {
-    processors.emplace_back(engines[i].get());
-  }
-  std::vector<const BundleQueryProcessor*> shard_ptrs;
-  for (const auto& p : processors) shard_ptrs.push_back(&p);
-
-  TaskPool pool(3);
-  const Timestamp now = kTestEpoch + kSecondsPerDay;
-  for (int round = 0; round < 30; ++round) {
-    BundleQuery query{.text = kTexts[round % std::size(kTexts)],
-                      .k = 10,
-                      .now = now};
-    const auto serial = BundleQueryProcessor::SearchShards(
-        shard_ptrs, query, nullptr, 0, nullptr, nullptr);
-    const auto parallel = BundleQueryProcessor::SearchShards(
-        shard_ptrs, query, nullptr, 0, nullptr, &pool);
-    ASSERT_EQ(serial.size(), parallel.size());
-    for (size_t i = 0; i < serial.size(); ++i) {
-      EXPECT_EQ(serial[i].bundle, parallel[i].bundle);
-      EXPECT_EQ(serial[i].score, parallel[i].score);
-      EXPECT_EQ(serial[i].shard, parallel[i].shard);
-    }
-  }
-}
-
 TEST(QueryConcurrencyTest, ServiceSearchesRaceLiveIngest) {
-  // One thread streams messages while another fans queries out on the
-  // service's persistent query pool. The service serializes the two
-  // internally; this pins the lock discipline (and, under TSan, the
-  // pool workers reading shard state the ingest workers write).
-  auto service_or = Service::Open({.num_shards = 4, .query_threads = 3});
+  // Searches run on the shard workers between ingest batches while
+  // Flush and Checkpoint (WAL on) race both from a third thread. Every
+  // Search must see every message whose Ingest returned before it
+  // began: a probe tag published after its Ingest returned is found.
+  testing_util::ScopedTempDir dir;
+  ServiceOptions options;
+  options.num_shards = 4;
+  options.engine = EngineOptions::ForConfig(IndexConfig::kFullIndex);
+  options.durability.dir = dir.path() + "/durable";
+  options.durability.checkpoint_every_messages = 400;
+  auto service_or = Service::Open(options);
   ASSERT_TRUE(service_or.ok());
   Service& service = **service_or;
 
+  std::atomic<int> last_probe{-1};
+  std::atomic<bool> ingest_done{false};
   std::atomic<bool> ingest_failed{false};
   std::thread ingester([&] {
     for (int i = 0; i < 2000; ++i) {
+      std::string text = kTexts[i % std::size(kTexts)];
+      const bool probe = i % 25 == 0;
+      if (probe) text += " #probe" + std::to_string(i);
       Message msg = TextMessage(i + 1, kTestEpoch + i,
-                                "user" + std::to_string(i % 9),
-                                kTexts[i % std::size(kTexts)]);
+                                "user" + std::to_string(i % 9), text);
       if (!service.Ingest(msg).ok()) {
         ingest_failed.store(true);
-        return;
+        break;
       }
+      if (probe) last_probe.store(i);
+    }
+    ingest_done.store(true);
+  });
+  std::atomic<bool> barrier_failed{false};
+  std::thread barriers([&] {
+    // Paced, so the barriers race ingest without starving it of the
+    // service lock.
+    for (int round = 0; !ingest_done.load(); ++round) {
+      const Status status =
+          round % 2 == 0 ? service.Flush() : service.Checkpoint();
+      if (!status.ok()) barrier_failed.store(true);
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
   });
   std::atomic<bool> search_failed{false};
+  std::atomic<int> probes_checked{0};
+  std::atomic<int> probes_missed{0};
   std::thread searcher([&] {
-    for (int round = 0; round < 100; ++round) {
-      auto results_or = service.Search(
-          {.text = kTexts[round % std::size(kTexts)], .k = 10});
+    for (int round = 0; round < 150; ++round) {
+      const int probe = last_probe.load();
+      const std::string text = probe >= 0
+                                   ? "#probe" + std::to_string(probe)
+                                   : kTexts[round % std::size(kTexts)];
+      auto results_or = service.Search({.text = text, .k = 10});
       if (!results_or.ok()) {
         search_failed.store(true);
         return;
       }
+      if (probe >= 0) {
+        probes_checked.fetch_add(1);
+        if (results_or->empty()) probes_missed.fetch_add(1);
+      }
     }
   });
   ingester.join();
+  barriers.join();
   searcher.join();
   EXPECT_FALSE(ingest_failed.load());
+  EXPECT_FALSE(barrier_failed.load());
   EXPECT_FALSE(search_failed.load());
+  EXPECT_GT(probes_checked.load(), 0);
+  EXPECT_EQ(probes_missed.load(), 0);
 
   ASSERT_TRUE(service.Flush().ok());
-  auto final_or = service.Search({.text = "yankee game", .k = 10});
+  EXPECT_EQ(service.Stats().messages_ingested, 2000u);
+  auto final_or = service.Search({.text = "#probe1975", .k = 10});
   ASSERT_TRUE(final_or.ok());
   EXPECT_FALSE(final_or->empty());
 }

@@ -1,9 +1,9 @@
 // Equivalence suite for the id-native top-k query path: the optimized
 // pipeline (QueryPlan scoring, upper-bound pruning, k-bounded heap,
-// deferred materialization, parallel shard fan-out) must return results
-// byte-identical — same bundles, same double scores, same order, same
-// summaries — to a brute-force string-path reference that scores every
-// candidate with BundleRelevance and sorts the lot.
+// deferred materialization, shard fan-out on the service's workers) must
+// return results byte-identical — same bundles, same double scores, same
+// order, same summaries — to a brute-force string-path reference that
+// scores every candidate with BundleRelevance and sorts the lot.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "query/query_processor.h"
+#include "service/service.h"
 #include "testing/test_util.h"
 
 namespace microprov {
@@ -368,87 +369,82 @@ TEST_F(QueryEquivalenceTest, ArchivedBundlesMatchReference) {
   }
 }
 
-TEST(QueryShardEquivalenceTest, ParallelFanOutMatchesSerial) {
-  // N single-shard engines queried through SearchShards: the TaskPool
-  // fan-out must return exactly what the serial loop returns, and both
-  // must equal the reference merge under the shared comparator.
+TEST(QueryShardEquivalenceTest, ServiceLaneMatchesSerialFanOut) {
+  // A 4-shard Service searches on its shard workers (the query lane).
+  // After Flush, serial SearchShards over the same engines must return
+  // exactly the same pages, and both must equal the reference merge:
+  // per-shard brute force against the global population, merged under
+  // the shared comparator.
   constexpr size_t kNumShards = 4;
-  std::vector<std::unique_ptr<SimulatedClock>> clocks;
-  std::vector<std::unique_ptr<ProvenanceEngine>> engines;
-  for (size_t i = 0; i < kNumShards; ++i) {
-    clocks.push_back(std::make_unique<SimulatedClock>(kTestEpoch));
-    engines.push_back(std::make_unique<ProvenanceEngine>(
-        EngineOptions::ForConfig(IndexConfig::kFullIndex),
-        clocks.back().get(), nullptr));
-  }
-  std::mt19937 rng(57);
-  std::uniform_int_distribution<Timestamp> gap(0, kSecondsPerDay / 4);
-  Timestamp t = kTestEpoch;
-  for (size_t i = 0; i < 500; ++i) {
-    t += gap(rng);
-    const size_t shard = i % kNumShards;
-    Message msg = TextMessage(static_cast<MessageId>(i + 1), t,
-                              "user" + std::to_string(i % 5),
-                              RandomText(&rng));
-    clocks[shard]->Advance(t);
-    ASSERT_TRUE(engines[shard]->Ingest(msg).ok());
-  }
-  const Timestamp now = t + kSecondsPerDay;
+  ServiceOptions options;
+  options.num_shards = kNumShards;
+  options.engine = EngineOptions::ForConfig(IndexConfig::kFullIndex);
+  auto service_or = Service::Open(options);
+  ASSERT_TRUE(service_or.ok());
+  Service& service = **service_or;
+  const ShardedEngine& sharded = service.sharded();
 
   std::vector<BundleQueryProcessor> processors;
   processors.reserve(kNumShards);
   for (size_t i = 0; i < kNumShards; ++i) {
-    processors.emplace_back(engines[i].get());
+    processors.emplace_back(&sharded.shard(i));
   }
   std::vector<const BundleQueryProcessor*> shard_ptrs;
   for (const auto& p : processors) shard_ptrs.push_back(&p);
 
-  size_t total_bundles = 0;
-  for (const auto& engine : engines) {
-    total_bundles += engine->pool().size();
-  }
-
-  TaskPool pool(3);
+  std::mt19937 rng(57);
   std::mt19937 query_rng(61);
+  std::uniform_int_distribution<Timestamp> gap(0, kSecondsPerDay / 4);
+  Timestamp t = kTestEpoch;
+  MessageId next_id = 1;
   const size_t ks[] = {1, 3, 5, 10, 40};
-  for (int round = 0; round < 40; ++round) {
-    BundleQuery query;
-    query.text = RandomQuery(&query_rng);
-    query.k = ks[round % std::size(ks)];
-    query.now = now;
-
-    auto serial = BundleQueryProcessor::SearchShards(
-        shard_ptrs, query, nullptr, 0, nullptr, nullptr);
-    auto parallel = BundleQueryProcessor::SearchShards(
-        shard_ptrs, query, nullptr, 0, nullptr, &pool);
-    ASSERT_EQ(serial.size(), parallel.size()) << query.text;
-    for (size_t i = 0; i < serial.size(); ++i) {
-      EXPECT_EQ(serial[i].bundle, parallel[i].bundle);
-      EXPECT_EQ(serial[i].score, parallel[i].score);
-      EXPECT_EQ(serial[i].shard, parallel[i].shard);
-      EXPECT_EQ(serial[i].summary_words, parallel[i].summary_words);
+  for (int phase = 0; phase < 2; ++phase) {
+    for (size_t i = 0; i < 250; ++i, ++next_id) {
+      t += gap(rng);
+      ASSERT_TRUE(service
+                      .Ingest(TextMessage(next_id, t,
+                                          "user" + std::to_string(i % 5),
+                                          RandomText(&rng)))
+                      .ok());
     }
+    ASSERT_TRUE(service.Flush().ok());
+    const size_t total_bundles = sharded.TotalPoolSize();
 
-    // Reference merge: per-shard references with the global population,
-    // stamped and merged by the shared comparator.
-    std::vector<BundleSearchResult> merged;
-    for (size_t s = 0; s < kNumShards; ++s) {
-      BundleQuery shard_query = query;
-      shard_query.total_bundles = total_bundles;
-      auto hits = ReferenceSearch(*engines[s], QueryWeights{}, nullptr,
-                                  shard_query);
-      for (auto& hit : hits) {
-        hit.shard = static_cast<uint32_t>(s);
-        merged.push_back(std::move(hit));
+    for (int round = 0; round < 20; ++round) {
+      BundleQuery query;
+      query.text = RandomQuery(&query_rng);
+      query.k = ks[round % std::size(ks)];
+      // A zero `now` takes the service clock; the serial side is given
+      // that clock explicitly.
+      query.now = round % 4 == 0 ? 0 : t + kSecondsPerDay;
+      auto lane_or = service.Search(query);
+      ASSERT_TRUE(lane_or.ok());
+      if (query.now == 0) query.now = service.Now();
+      const auto serial = BundleQueryProcessor::SearchShards(shard_ptrs,
+                                                             query);
+      ExpectIdentical(*lane_or, serial, "lane q=\"" + query.text + "\"");
+      for (size_t i = 0; i < serial.size() && i < lane_or->size(); ++i) {
+        EXPECT_EQ((*lane_or)[i].shard, serial[i].shard) << query.text;
       }
-    }
-    std::sort(merged.begin(), merged.end(), BundleResultOrder{});
-    if (merged.size() > query.k) merged.resize(query.k);
-    ASSERT_EQ(serial.size(), merged.size()) << query.text;
-    for (size_t i = 0; i < serial.size(); ++i) {
-      EXPECT_EQ(serial[i].bundle, merged[i].bundle) << query.text;
-      EXPECT_EQ(serial[i].score, merged[i].score) << query.text;
-      EXPECT_EQ(serial[i].shard, merged[i].shard) << query.text;
+
+      std::vector<BundleSearchResult> merged;
+      for (size_t s = 0; s < kNumShards; ++s) {
+        BundleQuery shard_query = query;
+        shard_query.total_bundles = total_bundles;
+        auto hits = ReferenceSearch(sharded.shard(s), QueryWeights{},
+                                    nullptr, shard_query);
+        for (auto& hit : hits) {
+          hit.shard = static_cast<uint32_t>(s);
+          merged.push_back(std::move(hit));
+        }
+      }
+      std::sort(merged.begin(), merged.end(), BundleResultOrder{});
+      if (merged.size() > query.k) merged.resize(query.k);
+      ExpectIdentical(serial, merged,
+                      "reference q=\"" + query.text + "\"");
+      for (size_t i = 0; i < serial.size() && i < merged.size(); ++i) {
+        EXPECT_EQ(serial[i].shard, merged[i].shard) << query.text;
+      }
     }
   }
 }

@@ -292,6 +292,31 @@ void ParsePrometheus(const std::string& text, ParsedScrape* out) {
   }
 }
 
+TEST(ServiceMetricsTest, QueryRequestsCountOncePerSearch) {
+  auto service_or = Service::Open({.num_shards = 4});
+  ASSERT_TRUE(service_or.ok());
+  Service& service = **service_or;
+  for (const Message& msg : SmallStream()) {
+    ASSERT_TRUE(service.Ingest(msg).ok());
+  }
+  constexpr uint64_t kSearches = 7;
+  for (uint64_t i = 0; i < kSearches; ++i) {
+    ASSERT_TRUE(service.Search({.text = "redsox", .k = 5}).ok());
+  }
+  ParsedScrape scrape;
+  ParsePrometheus(service.MetricsText(), &scrape);
+  EXPECT_EQ(scrape.counters.at("microprov_query_requests_total"), kSearches);
+  obs::MetricsRegistry* registry = service.metrics();
+  EXPECT_EQ(registry->GetHistogram("microprov_query_latency_nanos", "")
+                ->Snapshot()
+                .count,
+            kSearches);
+  const obs::HistogramStats fanout =
+      registry->GetHistogram("microprov_query_fanout", "")->Snapshot();
+  EXPECT_EQ(fanout.count, kSearches);
+  EXPECT_EQ(fanout.max, 4u);
+}
+
 TEST(ServiceMetricsTest, ScrapeCoversEveryLayerAndCountersAreMonotonic) {
   ScopedTempDir dir;
   ServiceOptions options;
@@ -326,8 +351,8 @@ TEST(ServiceMetricsTest, ScrapeCoversEveryLayerAndCountersAreMonotonic) {
 
   // Counters actually counted this batch.
   EXPECT_EQ(first.counters.at("microprov_engine_messages_total"), 6u);
-  // One Search fans out to every shard's processor, each counting.
-  EXPECT_GE(first.counters.at("microprov_query_requests_total"), 1u);
+  // A Search is one request, however many shards it reaches.
+  EXPECT_EQ(first.counters.at("microprov_query_requests_total"), 1u);
 
   // Second ingest batch: every counter is monotonically non-decreasing,
   // and the message counter strictly grew.
