@@ -324,45 +324,53 @@ Status ProvenanceEngine::Drain() {
   return Status::OK();
 }
 
-EngineState ProvenanceEngine::ExportState() const {
-  EngineState state;
+namespace {
+
+/// Appends the dictionary's surface forms of `type` from TermId `first`
+/// on, in TermId order.
+void BorrowTermsFrom(const IndicantDictionary& dict, IndicantType type,
+                     size_t first, std::vector<std::string_view>* out) {
+  const size_t n = dict.NumTerms(type);
+  out->reserve(n - first);
+  for (size_t id = first; id < n; ++id) {
+    out->push_back(dict.Resolve(type, static_cast<TermId>(id)));
+  }
+}
+
+void SortById(std::vector<const Bundle*>* bundles) {
+  std::sort(bundles->begin(), bundles->end(),
+            [](const Bundle* a, const Bundle* b) { return a->id() < b->id(); });
+}
+
+}  // namespace
+
+EngineStateView ProvenanceEngine::ExportState() const {
+  EngineStateView state;
   state.messages_ingested = ingested_;
   state.next_bundle_id = pool_.next_id();
   state.pool_stats = pool_.stats();
   for (int t = 0; t < kNumIndicantTypes; ++t) {
-    const IndicantType type = static_cast<IndicantType>(t);
-    const size_t n = dict_.NumTerms(type);
-    state.terms[t].reserve(n);
-    for (TermId id = 0; id < n; ++id) {
-      state.terms[t].push_back(dict_.Resolve(type, id));
-    }
+    BorrowTermsFrom(dict_, static_cast<IndicantType>(t), 0,
+                    &state.terms[t]);
   }
   state.bundles.reserve(pool_.size());
   for (const auto& [id, bundle] : pool_.bundles()) {
-    state.bundles.push_back(CloneBundle(*bundle, nullptr));
+    state.bundles.push_back(bundle.get());
   }
-  std::sort(state.bundles.begin(), state.bundles.end(),
-            [](const std::unique_ptr<Bundle>& a,
-               const std::unique_ptr<Bundle>& b) {
-              return a->id() < b->id();
-            });
+  SortById(&state.bundles);
   return state;
 }
 
-EngineDelta ProvenanceEngine::ExportDelta() {
-  EngineDelta delta;
+EngineDeltaView ProvenanceEngine::ExportDelta() {
+  EngineDeltaView delta;
   delta.messages_ingested = ingested_;
   delta.next_bundle_id = pool_.next_id();
   delta.pool_stats = pool_.stats();
   for (int t = 0; t < kNumIndicantTypes; ++t) {
     const IndicantType type = static_cast<IndicantType>(t);
-    const size_t n = dict_.NumTerms(type);
     delta.base_terms[t] = static_cast<uint32_t>(delta_term_cursor_[t]);
-    delta.new_terms[t].reserve(n - delta_term_cursor_[t]);
-    for (TermId id = delta_term_cursor_[t]; id < n; ++id) {
-      delta.new_terms[t].push_back(dict_.Resolve(type, id));
-    }
-    delta_term_cursor_[t] = n;
+    BorrowTermsFrom(dict_, type, delta_term_cursor_[t], &delta.new_terms[t]);
+    delta_term_cursor_[t] = dict_.NumTerms(type);
   }
   delta.removed = std::move(removed_bundles_);
   removed_bundles_.clear();
@@ -370,16 +378,10 @@ EngineDelta ProvenanceEngine::ExportDelta() {
   delta.bundles.reserve(dirty_bundles_.size());
   for (BundleId id : dirty_bundles_) {
     const Bundle* bundle = pool_.Get(id);
-    if (bundle != nullptr) {
-      delta.bundles.push_back(CloneBundle(*bundle, nullptr));
-    }
+    if (bundle != nullptr) delta.bundles.push_back(bundle);
   }
   dirty_bundles_.clear();
-  std::sort(delta.bundles.begin(), delta.bundles.end(),
-            [](const std::unique_ptr<Bundle>& a,
-               const std::unique_ptr<Bundle>& b) {
-              return a->id() < b->id();
-            });
+  SortById(&delta.bundles);
   return delta;
 }
 

@@ -147,11 +147,12 @@ class ProvenanceEngine {
   /// Flushes every live bundle to the archive (end-of-stream).
   Status Drain();
 
-  /// Detached copy of the durable state for checkpointing. The result
-  /// is independent of this engine (bundle clones own private
-  /// dictionaries) and deterministic: bundles ascending by id, terms in
-  /// TermId order.
-  EngineState ExportState() const;
+  /// The durable state for checkpointing, borrowed from the live pool
+  /// and dictionary: bundles ascending by id, terms in TermId order.
+  /// Nothing is copied, so the view is valid only until this engine next
+  /// changes (Ingest, Drain, ImportState); encode it before then. The
+  /// engine must be quiesced (no concurrent Ingest) while it is read.
+  EngineStateView ExportState() const;
 
   /// Everything that changed since the delta cursor was last reset:
   /// dictionary terms interned past the per-type cursors, bundles
@@ -159,16 +160,16 @@ class ProvenanceEngine {
   /// refinement/drain, and the absolute scalar counters. Advances the
   /// cursors and clears the dirty sets, so consecutive calls yield a
   /// chain of disjoint deltas (the incremental-checkpoint chain).
-  /// Same thread-safety contract as ExportState: the engine must be
-  /// quiesced (no concurrent Ingest).
-  EngineDelta ExportDelta();
+  /// Borrows like ExportState, under the same lifetime and quiescence
+  /// rules.
+  EngineDeltaView ExportDelta();
 
   /// Re-arms delta tracking at the engine's current state (after a full
   /// ExportState was captured as a base checkpoint): the next
   /// ExportDelta reports only changes made after this call.
   void ResetDeltaCursor();
 
-  /// Restores a state captured by ExportState. The engine must be
+  /// Restores a decoded checkpoint state. The engine must be
   /// fresh — nothing ingested, empty pool, empty dictionary — because
   /// import rebuilds the TermId spaces and the summary index from
   /// scratch; importing over live state would corrupt both. After a

@@ -14,6 +14,41 @@ std::unique_ptr<Bundle> CloneBundle(const Bundle& src,
   return clone;
 }
 
+namespace {
+
+void BorrowBundles(const std::vector<std::unique_ptr<Bundle>>& bundles,
+                   std::vector<const Bundle*>* view) {
+  view->reserve(bundles.size());
+  for (const std::unique_ptr<Bundle>& bundle : bundles) {
+    view->push_back(bundle.get());
+  }
+}
+
+}  // namespace
+
+EngineStateView::EngineStateView(const EngineState& state)
+    : messages_ingested(state.messages_ingested),
+      next_bundle_id(state.next_bundle_id),
+      pool_stats(state.pool_stats) {
+  for (int t = 0; t < kNumIndicantTypes; ++t) {
+    terms[t].assign(state.terms[t].begin(), state.terms[t].end());
+  }
+  BorrowBundles(state.bundles, &bundles);
+}
+
+EngineDeltaView::EngineDeltaView(const EngineDelta& delta)
+    : messages_ingested(delta.messages_ingested),
+      next_bundle_id(delta.next_bundle_id),
+      pool_stats(delta.pool_stats),
+      removed(delta.removed) {
+  for (int t = 0; t < kNumIndicantTypes; ++t) {
+    base_terms[t] = delta.base_terms[t];
+    new_terms[t].assign(delta.new_terms[t].begin(),
+                        delta.new_terms[t].end());
+  }
+  BorrowBundles(delta.bundles, &bundles);
+}
+
 Status ApplyEngineDelta(EngineState* state, EngineDelta&& delta) {
   for (int t = 0; t < kNumIndicantTypes; ++t) {
     if (state->terms[t].size() != delta.base_terms[t]) {

@@ -3,6 +3,7 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -16,11 +17,14 @@ namespace microprov {
 /// A detached, self-contained copy of one ProvenanceEngine's durable
 /// state — everything a checkpoint must capture so that replaying the
 /// post-checkpoint message stream reproduces the live engine exactly.
+/// This is what a checkpoint decodes into and ImportState restores
+/// from; the write path encodes an EngineStateView of the live engine
+/// instead, and both encode to the same bytes.
 ///
 /// What is captured: the interning dictionary (surface forms in TermId
 /// order, so re-interning in order reproduces identical ids), every
-/// live bundle (clones carrying private dictionaries so the state
-/// outlives the source engine), the pool's id allocator position and
+/// live bundle (each carrying a private dictionary so the state
+/// outlives its source), the pool's id allocator position and
 /// lifecycle counters, and the ingested-message count. What is NOT
 /// captured: the summary index — it is derived state, rebuilt from the
 /// bundles on import — and evaluation-only artifacts (edge log, stage
@@ -43,12 +47,13 @@ struct EngineState {
 };
 
 /// The changes to an EngineState since a delta cursor was last reset:
-/// everything ProvenanceEngine::ExportDelta captured between two
-/// checkpoint installs. Scalars are absolute (cheap and idempotent);
-/// dictionary terms are append-only so only the new tail travels;
-/// bundles are upserts (full clones of every bundle touched since the
-/// cursor) plus a removal list. Applying a delta chain base..N in order
-/// reproduces the EngineState a full export at N would have produced.
+/// what applying one incremental checkpoint does to the state it
+/// extends. Scalars are absolute (cheap and idempotent); dictionary
+/// terms are append-only so only the new tail travels; bundles are
+/// upserts (every bundle touched since the cursor) plus a removal list.
+/// Applying a delta chain base..N in order reproduces the EngineState a
+/// full export at N would have produced. Like EngineState, this is the
+/// decoded form; the write path encodes an EngineDeltaView.
 struct EngineDelta {
   EngineDelta() = default;
   EngineDelta(EngineDelta&&) = default;
@@ -74,6 +79,43 @@ struct EngineDelta {
   std::vector<std::unique_ptr<Bundle>> bundles;
 };
 
+/// EngineState's fields borrowed rather than owned: what a checkpoint
+/// encodes. ProvenanceEngine::ExportState fills one straight from the
+/// live pool and dictionary, so writing a checkpoint copies no bundle.
+/// Every pointer and string_view points into its source and is valid
+/// only while the source is unchanged — for a live engine, until its
+/// next Ingest, Drain or ImportState.
+struct EngineStateView {
+  EngineStateView() = default;
+  /// Borrows an owning state (tests, tools re-encoding a decoded image).
+  EngineStateView(const EngineState& state);  // NOLINT: implicit view
+
+  uint64_t messages_ingested = 0;
+  BundleId next_bundle_id = 1;
+  PoolStats pool_stats;
+  /// Surface forms per IndicantType, position == TermId.
+  std::vector<std::string_view> terms[kNumIndicantTypes];
+  /// Live bundles sorted by ascending id.
+  std::vector<const Bundle*> bundles;
+};
+
+/// EngineDelta's fields borrowed rather than owned (see EngineStateView
+/// for the lifetime rule). `removed` is held by value: the ids are
+/// consumed from the engine's tracking set when the delta is captured.
+struct EngineDeltaView {
+  EngineDeltaView() = default;
+  EngineDeltaView(const EngineDelta& delta);  // NOLINT: implicit view
+
+  uint64_t messages_ingested = 0;
+  BundleId next_bundle_id = 1;
+  PoolStats pool_stats;
+  uint32_t base_terms[kNumIndicantTypes] = {};
+  std::vector<std::string_view> new_terms[kNumIndicantTypes];
+  std::vector<BundleId> removed;
+  /// Bundles created or touched since the cursor, ascending by id.
+  std::vector<const Bundle*> bundles;
+};
+
 /// Folds `delta` into `state` in place: appends the new dictionary
 /// terms, drops removed bundles, upserts the touched bundles (keeping
 /// the ascending-id order ExportState guarantees), and overwrites the
@@ -84,7 +126,8 @@ Status ApplyEngineDelta(EngineState* state, EngineDelta&& delta);
 /// Deep-copies `src` into a new bundle interning against `dict` (nullptr
 /// for a private dictionary). Implemented as an AddMessage replay, which
 /// reconstructs summaries, time ranges, latest-by-user, and memory
-/// accounting; the closed flag is carried over.
+/// accounting; the closed flag is carried over. ImportState uses it to
+/// move decoded bundles onto the engine's dictionary.
 std::unique_ptr<Bundle> CloneBundle(const Bundle& src,
                                     IndicantDictionary* dict);
 

@@ -98,9 +98,6 @@ StatusOr<std::unique_ptr<DurabilityManager>> DurabilityManager::Open(
     manager->delta_checkpoints_counter_ =
         registry->GetCounter("microprov_checkpoints_delta_total", "",
                              "Incremental (delta) checkpoints installed");
-    manager->checkpoint_hist_ =
-        registry->GetHistogram("microprov_checkpoint_nanos", "",
-                               "Checkpoint capture+install duration");
     manager->checkpoint_bytes_counter_ =
         registry->GetCounter("microprov_checkpoint_bytes_total", "",
                              "Serialized base snapshot bytes written");
@@ -480,8 +477,7 @@ bool DurabilityManager::ShouldInstallDelta() const {
 }
 
 Status DurabilityManager::InstallCheckpoint(
-    const ServiceSnapshot& snapshot) {
-  const int64_t t0 = MonotonicNanos();
+    const ServiceSnapshotView& snapshot) {
   const uint64_t new_seq = seq_ + 1;
   std::string encoded;
   EncodeServiceSnapshot(snapshot, &encoded);
@@ -507,20 +503,15 @@ Status DurabilityManager::InstallCheckpoint(
   }
   // GC is advisory: a crash here leaves superseded files that the next
   // install sweeps again.
-  Status gc = GarbageCollect();
-  if (checkpoint_hist_ != nullptr) {
-    checkpoint_hist_->Observe(MonotonicNanos() - t0);
-  }
-  return gc;
+  return GarbageCollect();
 }
 
-Status DurabilityManager::InstallDelta(const ServiceDelta& delta) {
+Status DurabilityManager::InstallDelta(const ServiceDeltaView& delta) {
   if (delta.parent_seq != seq_) {
     return Status::InvalidArgument(StringPrintf(
         "delta parent %" PRIu64 " does not match checkpoint %" PRIu64,
         delta.parent_seq, seq_));
   }
-  const int64_t t0 = MonotonicNanos();
   const uint64_t new_seq = seq_ + 1;
   std::string encoded;
   EncodeServiceDelta(delta, &encoded);
@@ -547,9 +538,6 @@ Status DurabilityManager::InstallDelta(const ServiceDelta& delta) {
   // stay on disk until the next base install, so losing this delta file
   // to bit-rot never loses data — recovery falls back to the chain
   // prefix and replays the retained WAL.
-  if (checkpoint_hist_ != nullptr) {
-    checkpoint_hist_->Observe(MonotonicNanos() - t0);
-  }
   return Status::OK();
 }
 

@@ -48,6 +48,8 @@ struct DurabilityOptions {
   bool wal_enabled = true;
   uint64_t wal_rotate_bytes = 8ull << 20;
   bool wal_flush_every_append = true;
+  /// fsync every WAL batch: power-loss durability. Checkpoints then also
+  /// fsync the bundle stores before installing.
   bool wal_sync_every_append = false;
   /// Group-commit window: accepted records buffer in memory and the
   /// flusher thread sweeps them at this cadence (worst-case
@@ -185,15 +187,17 @@ class DurabilityManager {
   /// the snapshot file, rotates WAL writers to the next epoch, flips
   /// CURRENT, then garbage-collects superseded checkpoints, deltas, and
   /// WAL epochs. The caller must have quiesced ingest, waited for
-  /// WaitDurable(accepted), and synced the bundle stores first.
-  Status InstallCheckpoint(const ServiceSnapshot& snapshot);
+  /// WaitDurable(accepted), and flushed (or, in power-loss mode, synced)
+  /// the bundle stores first. The snapshot may borrow the live engines:
+  /// it is encoded before this returns and not retained.
+  Status InstallCheckpoint(const ServiceSnapshotView& snapshot);
 
   /// Installs `delta` as incremental checkpoint seq+1 (delta.parent_seq
   /// must equal checkpoint_seq()). Same barrier contract as
   /// InstallCheckpoint, but no garbage collection: superseded WAL
   /// epochs are retained until the next base install so a corrupt delta
   /// file can always be recovered past by replay.
-  Status InstallDelta(const ServiceDelta& delta);
+  Status InstallDelta(const ServiceDeltaView& delta);
 
   /// Stops the flusher (draining any pending records) and closes the
   /// WAL writers.
@@ -272,7 +276,6 @@ class DurabilityManager {
   obs::HistogramMetric* flush_hist_ = nullptr;
   obs::Counter* checkpoints_counter_ = nullptr;
   obs::Counter* delta_checkpoints_counter_ = nullptr;
-  obs::HistogramMetric* checkpoint_hist_ = nullptr;
   obs::Counter* checkpoint_bytes_counter_ = nullptr;
   obs::Counter* delta_bytes_counter_ = nullptr;
   obs::Counter* replayed_counter_ = nullptr;

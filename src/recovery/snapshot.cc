@@ -18,7 +18,43 @@ constexpr uint32_t kDeltaVersion = 1;
 constexpr uint32_t kEngineDeltaVersion = 1;
 }  // namespace
 
-void EncodeEngineState(const EngineState& state, std::string* dst) {
+ServiceSnapshotView::ServiceSnapshotView(const ServiceSnapshot& snapshot)
+    : num_shards(snapshot.num_shards),
+      watermark(snapshot.watermark),
+      accepted(snapshot.accepted) {
+  shards.reserve(snapshot.shards.size());
+  for (const ShardSnapshot& shard : snapshot.shards) {
+    shards.push_back(ShardSnapshotView{shard.clock, shard.state});
+  }
+}
+
+ServiceDeltaView::ServiceDeltaView(const ServiceDelta& delta)
+    : parent_seq(delta.parent_seq),
+      num_shards(delta.num_shards),
+      watermark(delta.watermark),
+      accepted(delta.accepted) {
+  shards.reserve(delta.shards.size());
+  for (const ShardDelta& shard : delta.shards) {
+    shards.push_back(ShardDeltaView{shard.clock, shard.delta});
+  }
+}
+
+namespace {
+
+void EncodeBundles(const std::vector<const Bundle*>& bundles,
+                   std::string* dst) {
+  PutVarint32(dst, static_cast<uint32_t>(bundles.size()));
+  std::string encoded;
+  for (const Bundle* bundle : bundles) {
+    encoded.clear();
+    EncodeBundle(*bundle, &encoded);
+    PutLengthPrefixed(dst, encoded);
+  }
+}
+
+}  // namespace
+
+void EncodeEngineState(const EngineStateView& state, std::string* dst) {
   PutVarint32(dst, kEngineStateVersion);
   PutVarint64(dst, state.messages_ingested);
   PutVarint64(dst, state.next_bundle_id);
@@ -30,17 +66,11 @@ void EncodeEngineState(const EngineState& state, std::string* dst) {
   PutVarint64(dst, state.pool_stats.bundles_closed);
   for (int t = 0; t < kNumIndicantTypes; ++t) {
     PutVarint32(dst, static_cast<uint32_t>(state.terms[t].size()));
-    for (const std::string& term : state.terms[t]) {
+    for (std::string_view term : state.terms[t]) {
       PutLengthPrefixed(dst, term);
     }
   }
-  PutVarint32(dst, static_cast<uint32_t>(state.bundles.size()));
-  std::string encoded;
-  for (const std::unique_ptr<Bundle>& bundle : state.bundles) {
-    encoded.clear();
-    EncodeBundle(*bundle, &encoded);
-    PutLengthPrefixed(dst, encoded);
-  }
+  EncodeBundles(state.bundles, dst);
 }
 
 Status DecodeEngineState(std::string_view* input, EngineState* state) {
@@ -96,7 +126,7 @@ Status DecodeEngineState(std::string_view* input, EngineState* state) {
   return Status::OK();
 }
 
-void EncodeServiceSnapshot(const ServiceSnapshot& snapshot,
+void EncodeServiceSnapshot(const ServiceSnapshotView& snapshot,
                            std::string* dst) {
   const size_t start = dst->size();
   PutFixed32(dst, kSnapshotMagic);
@@ -104,7 +134,7 @@ void EncodeServiceSnapshot(const ServiceSnapshot& snapshot,
   PutVarint32(dst, snapshot.num_shards);
   PutVarsint64(dst, snapshot.watermark);
   PutVarint64(dst, snapshot.accepted);
-  for (const ShardSnapshot& shard : snapshot.shards) {
+  for (const ShardSnapshotView& shard : snapshot.shards) {
     PutVarsint64(dst, shard.clock);
     EncodeEngineState(shard.state, dst);
   }
@@ -155,7 +185,7 @@ StatusOr<ServiceSnapshot> DecodeServiceSnapshot(std::string_view encoded) {
   return snapshot;
 }
 
-void EncodeEngineDelta(const EngineDelta& delta, std::string* dst) {
+void EncodeEngineDelta(const EngineDeltaView& delta, std::string* dst) {
   PutVarint32(dst, kEngineDeltaVersion);
   PutVarint64(dst, delta.messages_ingested);
   PutVarint64(dst, delta.next_bundle_id);
@@ -168,19 +198,13 @@ void EncodeEngineDelta(const EngineDelta& delta, std::string* dst) {
   for (int t = 0; t < kNumIndicantTypes; ++t) {
     PutVarint32(dst, delta.base_terms[t]);
     PutVarint32(dst, static_cast<uint32_t>(delta.new_terms[t].size()));
-    for (const std::string& term : delta.new_terms[t]) {
+    for (std::string_view term : delta.new_terms[t]) {
       PutLengthPrefixed(dst, term);
     }
   }
   PutVarint32(dst, static_cast<uint32_t>(delta.removed.size()));
   for (BundleId id : delta.removed) PutVarint64(dst, id);
-  PutVarint32(dst, static_cast<uint32_t>(delta.bundles.size()));
-  std::string encoded;
-  for (const std::unique_ptr<Bundle>& bundle : delta.bundles) {
-    encoded.clear();
-    EncodeBundle(*bundle, &encoded);
-    PutLengthPrefixed(dst, encoded);
-  }
+  EncodeBundles(delta.bundles, dst);
 }
 
 Status DecodeEngineDelta(std::string_view* input, EngineDelta* delta) {
@@ -250,7 +274,7 @@ Status DecodeEngineDelta(std::string_view* input, EngineDelta* delta) {
   return Status::OK();
 }
 
-void EncodeServiceDelta(const ServiceDelta& delta, std::string* dst) {
+void EncodeServiceDelta(const ServiceDeltaView& delta, std::string* dst) {
   const size_t start = dst->size();
   PutFixed32(dst, kDeltaMagic);
   PutVarint32(dst, kDeltaVersion);
@@ -258,7 +282,7 @@ void EncodeServiceDelta(const ServiceDelta& delta, std::string* dst) {
   PutVarint32(dst, delta.num_shards);
   PutVarsint64(dst, delta.watermark);
   PutVarint64(dst, delta.accepted);
-  for (const ShardDelta& shard : delta.shards) {
+  for (const ShardDeltaView& shard : delta.shards) {
     PutVarsint64(dst, shard.clock);
     EncodeEngineDelta(shard.delta, dst);
   }

@@ -40,10 +40,29 @@ struct ServiceSnapshot {
   ServiceSnapshot& operator=(ServiceSnapshot&&) = default;
 };
 
+/// ServiceSnapshot with borrowed shard states: what a base checkpoint
+/// encodes. Service::CheckpointLocked fills one from the quiesced live
+/// engines (see EngineStateView for how long it stays valid).
+struct ShardSnapshotView {
+  Timestamp clock = 0;
+  EngineStateView state;
+};
+
+struct ServiceSnapshotView {
+  uint32_t num_shards = 0;
+  Timestamp watermark = 0;
+  uint64_t accepted = 0;
+  std::vector<ShardSnapshotView> shards;
+
+  ServiceSnapshotView() = default;
+  /// Borrows an owning snapshot.
+  ServiceSnapshotView(const ServiceSnapshot& snapshot);  // NOLINT
+};
+
 /// Appends the binary encoding of `state` to *dst. Bundles are framed
 /// with the existing EncodeBundle record format, so the snapshot
 /// inherits the pinned bundle wire format unchanged.
-void EncodeEngineState(const EngineState& state, std::string* dst);
+void EncodeEngineState(const EngineStateView& state, std::string* dst);
 
 /// Decodes one EngineState from the front of *input.
 Status DecodeEngineState(std::string_view* input, EngineState* state);
@@ -53,7 +72,7 @@ Status DecodeEngineState(std::string_view* input, EngineState* state);
 /// it. A snapshot that fails the CRC (torn or bit-rotted) is rejected
 /// as a whole — checkpoints are atomic via write-temp-then-rename, so a
 /// valid older snapshot is always the fallback.
-void EncodeServiceSnapshot(const ServiceSnapshot& snapshot,
+void EncodeServiceSnapshot(const ServiceSnapshotView& snapshot,
                            std::string* dst);
 StatusOr<ServiceSnapshot> DecodeServiceSnapshot(std::string_view encoded);
 
@@ -87,10 +106,29 @@ struct ServiceDelta {
   ServiceDelta& operator=(ServiceDelta&&) = default;
 };
 
+/// ServiceDelta with borrowed shard deltas: what an incremental
+/// checkpoint encodes (same lifetime rule as ServiceSnapshotView).
+struct ShardDeltaView {
+  Timestamp clock = 0;
+  EngineDeltaView delta;
+};
+
+struct ServiceDeltaView {
+  uint64_t parent_seq = 0;
+  uint32_t num_shards = 0;
+  Timestamp watermark = 0;
+  uint64_t accepted = 0;
+  std::vector<ShardDeltaView> shards;
+
+  ServiceDeltaView() = default;
+  /// Borrows an owning delta.
+  ServiceDeltaView(const ServiceDelta& delta);  // NOLINT
+};
+
 /// Appends the binary encoding of `delta` to *dst (exposed so the
 /// format tests can pin it; the service-level framing below is what the
 /// checkpoint files use).
-void EncodeEngineDelta(const EngineDelta& delta, std::string* dst);
+void EncodeEngineDelta(const EngineDeltaView& delta, std::string* dst);
 Status DecodeEngineDelta(std::string_view* input, EngineDelta* delta);
 
 /// Serializes an incremental checkpoint: "MPDL" magic + version header,
@@ -99,7 +137,7 @@ Status DecodeEngineDelta(std::string_view* input, EngineDelta* delta);
 /// failing its CRC is rejected whole, and recovery falls back to the
 /// valid chain prefix plus WAL replay (WAL segments are only collected
 /// at full-checkpoint installs, so the tail is always still on disk).
-void EncodeServiceDelta(const ServiceDelta& delta, std::string* dst);
+void EncodeServiceDelta(const ServiceDeltaView& delta, std::string* dst);
 StatusOr<ServiceDelta> DecodeServiceDelta(std::string_view encoded);
 
 /// Folds `delta` into `snapshot` in place. Fails on shard-count

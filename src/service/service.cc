@@ -4,6 +4,7 @@
 #include <tuple>
 #include <unordered_map>
 
+#include "common/clock.h"
 #include "common/env.h"
 #include "common/string_util.h"
 
@@ -102,6 +103,18 @@ StatusOr<std::unique_ptr<Service>> Service::Open(
         service->registry_.get());
     if (!manager_or.ok()) return manager_or.status();
     service->durability_ = std::move(*manager_or);
+    obs::MetricsRegistry* reg = service->registry_.get();
+    service->checkpoint_hist_ = reg->GetHistogram(
+        "microprov_checkpoint_nanos", "",
+        "Whole checkpoint stall: flush barrier, state capture and install");
+    constexpr char kStageHelp[] =
+        "Checkpoint stall by stage; the stages sum to the whole";
+    service->checkpoint_barrier_hist_ = reg->GetHistogram(
+        "microprov_checkpoint_stage_nanos", "stage=\"barrier\"", kStageHelp);
+    service->checkpoint_capture_hist_ = reg->GetHistogram(
+        "microprov_checkpoint_stage_nanos", "stage=\"capture\"", kStageHelp);
+    service->checkpoint_install_hist_ = reg->GetHistogram(
+        "microprov_checkpoint_stage_nanos", "stage=\"install\"", kStageHelp);
     MICROPROV_RETURN_IF_ERROR(service->Recover());
     if (service->recovered_tail_dirty_) {
       // The tail held torn bytes, orphaned sequences, or duplicates:
@@ -115,7 +128,6 @@ StatusOr<std::unique_ptr<Service>> Service::Open(
     }
     MICROPROV_RETURN_IF_ERROR(
         service->durability_->StartWal(service->accepted_));
-    obs::MetricsRegistry* reg = service->registry_.get();
     service->wal_appends_counter_ =
         reg->GetCounter("microprov_wal_appends_total", "");
     service->wal_bytes_counter_ =
@@ -431,34 +443,47 @@ Status Service::CheckpointLocked(bool force_base) {
   if (durability_ == nullptr) {
     return Status::FailedPrecondition("durability not configured");
   }
-  // Quiesce so the shard engines are stable and readable, then make the
-  // bundle stores durable: the snapshot references archived bundles by
-  // assuming they survive the crash too.
+  const int64_t start = MonotonicNanos();
+  // Barrier. Quiesce so the shard engines are stable and readable, then
+  // push the archived bundles out of the process: the image references
+  // them by assuming they survive the crash too, and a base install
+  // garbage-collects the WAL epochs that could re-create them. In
+  // power-loss mode the stores are synced as well, matching the WAL.
   if (!drained_) {
     MICROPROV_RETURN_IF_ERROR(sharded_->Flush());
   }
+  const bool sync = options_.durability.wal_sync_every_append;
   for (auto& store : stores_) {
-    MICROPROV_RETURN_IF_ERROR(store->Flush());
+    MICROPROV_RETURN_IF_ERROR(sync ? store->Sync() : store->Flush());
   }
   // The checkpoint barrier covers the WAL too: every message the image
   // includes must be on disk before the install rotates epochs, or a
   // crash right after the install could lose acknowledged records.
   MICROPROV_RETURN_IF_ERROR(durability_->WaitDurable(accepted_));
+  const int64_t captured_from = MonotonicNanos();
+  int64_t installed_from = 0;
+
+  // Capture and install. The images borrow the live bundles and
+  // dictionaries instead of copying them: they stay valid only while
+  // the engines do not change, which holding mu_ past the barrier
+  // guarantees — Ingest, Search's enqueue and Drain all need mu_, and
+  // the barrier left no queued message or read for a worker to run.
+  // Each image is encoded inside its Install call and dropped here.
   const size_t num_shards = sharded_->num_shards();
   if (!force_base && !checkpoint_force_base_ &&
       durability_->ShouldInstallDelta()) {
-    recovery::ServiceDelta delta;
+    recovery::ServiceDeltaView delta;
     delta.parent_seq = durability_->checkpoint_seq();
     delta.num_shards = static_cast<uint32_t>(num_shards);
     delta.watermark = clock_.value();
     delta.accepted = accepted_;
     delta.shards.reserve(num_shards);
     for (size_t i = 0; i < num_shards; ++i) {
-      recovery::ShardDelta shard;
+      recovery::ShardDeltaView& shard = delta.shards.emplace_back();
       shard.clock = sharded_->shard_clock(i);
       shard.delta = sharded_->mutable_shard_quiesced(i)->ExportDelta();
-      delta.shards.push_back(std::move(shard));
     }
+    installed_from = MonotonicNanos();
     Status install = durability_->InstallDelta(delta);
     if (!install.ok()) {
       // ExportDelta already consumed the dirty sets; a retried delta
@@ -467,17 +492,17 @@ Status Service::CheckpointLocked(bool force_base) {
       return install;
     }
   } else {
-    recovery::ServiceSnapshot snapshot;
+    recovery::ServiceSnapshotView snapshot;
     snapshot.num_shards = static_cast<uint32_t>(num_shards);
     snapshot.watermark = clock_.value();
     snapshot.accepted = accepted_;
     snapshot.shards.reserve(num_shards);
     for (size_t i = 0; i < num_shards; ++i) {
-      recovery::ShardSnapshot shard;
+      recovery::ShardSnapshotView& shard = snapshot.shards.emplace_back();
       shard.clock = sharded_->shard_clock(i);
       shard.state = sharded_->shard(i).ExportState();
-      snapshot.shards.push_back(std::move(shard));
     }
+    installed_from = MonotonicNanos();
     MICROPROV_RETURN_IF_ERROR(durability_->InstallCheckpoint(snapshot));
     // The base captured everything; restart delta tracking from it.
     for (size_t i = 0; i < num_shards; ++i) {
@@ -486,6 +511,11 @@ Status Service::CheckpointLocked(bool force_base) {
     checkpoint_force_base_ = false;
   }
   accepted_since_checkpoint_ = 0;
+  const int64_t end = MonotonicNanos();
+  checkpoint_barrier_hist_->Observe(captured_from - start);
+  checkpoint_capture_hist_->Observe(installed_from - captured_from);
+  checkpoint_install_hist_->Observe(end - installed_from);
+  checkpoint_hist_->Observe(end - start);
   return Status::OK();
 }
 

@@ -179,9 +179,11 @@ class Service {
   Status Flush();
 
   /// Durably checkpoints the full service state: quiesces ingest (flush
-  /// barrier), syncs the bundle stores, serializes every shard's engine
-  /// state, installs the snapshot atomically, and truncates the WAL
-  /// epochs it supersedes. Requires durability to be configured.
+  /// barrier), flushes the bundle stores (and fsyncs them when
+  /// `durability.wal_sync_every_append` is set), serializes every
+  /// shard's engine state, installs the snapshot atomically, and
+  /// truncates the WAL epochs it supersedes. Requires durability to be
+  /// configured.
   Status Checkpoint();
 
   /// End-of-stream: flushes, stops shard workers, and (with an archive
@@ -330,6 +332,12 @@ class Service {
   obs::Counter* wal_bytes_counter_ = nullptr;
   obs::Counter* checkpoints_counter_ = nullptr;
   obs::Counter* replayed_counter_ = nullptr;
+  /// Whole CheckpointLocked call, and its barrier/capture/install
+  /// stages, which sum to it.
+  obs::HistogramMetric* checkpoint_hist_ = nullptr;
+  obs::HistogramMetric* checkpoint_barrier_hist_ = nullptr;
+  obs::HistogramMetric* checkpoint_capture_hist_ = nullptr;
+  obs::HistogramMetric* checkpoint_install_hist_ = nullptr;
   /// Per-shard health gauges refreshed by Health() (0=ok, 1=degraded,
   /// 2=stalled) plus the load stats behind them.
   std::vector<obs::Gauge*> health_gauges_;

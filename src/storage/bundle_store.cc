@@ -174,6 +174,7 @@ Status BundleStore::Put(const Bundle& bundle) {
   obs::ScopedLatencyTimer timer(put_hist_);
   if (current_file_size_ >= options_.rotate_bytes) {
     MICROPROV_RETURN_IF_ERROR(writer_->Close());
+    unsynced_files_.push_back(current_file_number_);
     MICROPROV_RETURN_IF_ERROR(OpenNewLogFile());
   }
   std::string record;
@@ -208,6 +209,9 @@ void BundleStore::BindMetrics(obs::MetricsRegistry* registry,
   bytes_counter_ = registry->GetCounter(
       "microprov_store_bytes_written_total", "",
       "Framed log bytes written by bundle dumps");
+  syncs_counter_ = registry->GetCounter(
+      "microprov_store_syncs_total", "",
+      "Bundle-store fsyncs (power-loss-safe checkpoints)");
   put_hist_ =
       registry->GetHistogram("microprov_store_put_nanos", "",
                              "Latency of one bundle dump (encode+append)");
@@ -361,6 +365,20 @@ Status BundleStore::Scan(
 
 Status BundleStore::Flush() { return writer_->Flush(); }
 
+Status BundleStore::Sync() {
+  // fsync works on the file, not the descriptor, so reopening a closed
+  // log reaches the data its writer left in the page cache.
+  for (uint32_t number : unsynced_files_) {
+    auto file_or = Env::Default()->NewAppendableFile(LogFileName(number));
+    if (!file_or.ok()) return file_or.status();
+    MICROPROV_RETURN_IF_ERROR((*file_or)->Sync());
+  }
+  unsynced_files_.clear();
+  MICROPROV_RETURN_IF_ERROR(writer_->Sync());
+  if (syncs_counter_ != nullptr) syncs_counter_->Increment();
+  return Status::OK();
+}
+
 Status BundleStore::Compact() {
   MICROPROV_RETURN_IF_ERROR(writer_->Flush());
 
@@ -385,6 +403,7 @@ Status BundleStore::Compact() {
   MICROPROV_RETURN_IF_ERROR(writer_->Close());
   writer_.reset();
   file_numbers_.clear();
+  unsynced_files_.clear();
   MICROPROV_RETURN_IF_ERROR(OpenNewLogFile());
 
   for (const Rewrite& rewrite : rewrites) {

@@ -68,7 +68,12 @@ class BundleStore final : public BundleArchive {
   Status Scan(
       const std::function<Status(const Bundle& bundle)>& fn);
 
+  /// Pushes buffered records to the OS (survives a process crash).
   Status Flush();
+
+  /// Flush + fsync of every log file written since the last Sync, so the
+  /// records also survive power loss.
+  Status Sync();
 
   /// Rewrites every live bundle record into fresh log files and deletes
   /// the old ones, reclaiming space held by superseded records (re-puts)
@@ -111,6 +116,8 @@ class BundleStore final : public BundleArchive {
   uint32_t current_file_number_ = 0;
   uint64_t current_file_size_ = 0;
   std::vector<uint32_t> file_numbers_;
+  /// Log files rotated out since the last Sync, closed but not fsynced.
+  std::vector<uint32_t> unsynced_files_;
   BundleId max_bundle_id_ = 0;
   LruCache<BundleId, std::shared_ptr<const Bundle>> cache_;
   std::unordered_map<std::string, std::vector<BundleId>> term_index_;
@@ -120,6 +127,7 @@ class BundleStore final : public BundleArchive {
   // Observability handles (null until BindMetrics; never owned).
   obs::Counter* puts_counter_ = nullptr;
   obs::Counter* bytes_counter_ = nullptr;
+  obs::Counter* syncs_counter_ = nullptr;
   obs::HistogramMetric* put_hist_ = nullptr;
   obs::Gauge* bundles_gauge_ = nullptr;
 };

@@ -13,6 +13,7 @@
 #include "core/indicant_dictionary.h"
 #include "core/summary_index.h"
 #include "gen/generator.h"
+#include "recovery/snapshot.h"
 #include "testing/alloc_counter.h"
 #include "testing/test_util.h"
 
@@ -122,7 +123,12 @@ TEST(PostingArenaAllocTest, ArenaBackedStateSurvivesExportImport) {
                 engine.pool().stats().bundles_deleted_tiny,
             0u);
 
-  EngineState state = engine.ExportState();
+  // Restore the way recovery does: from the encoded checkpoint image.
+  std::string encoded;
+  recovery::EncodeEngineState(engine.ExportState(), &encoded);
+  std::string_view input(encoded);
+  EngineState state;
+  ASSERT_TRUE(recovery::DecodeEngineState(&input, &state).ok());
   SimulatedClock clock2;
   clock2.Advance(clock.Now());
   ProvenanceEngine restored(options, &clock2, nullptr);

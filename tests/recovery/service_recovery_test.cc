@@ -10,7 +10,9 @@
 #include <string>
 #include <vector>
 
+#include "common/clock.h"
 #include "common/env.h"
+#include "common/string_util.h"
 #include "gen/generator.h"
 #include "recovery/wal.h"
 #include "service/service.h"
@@ -437,6 +439,70 @@ TEST(ServiceRecoveryTest, RejectedSubmitNeverReachesWal) {
       (*recovered_or)->Search({.text = "#neverdurable", .k = 5});
   ASSERT_TRUE(results_or.ok());
   EXPECT_TRUE(results_or->empty());
+}
+
+TEST(ServiceRecoveryTest, CheckpointHistogramCoversTheWholeIngestStall) {
+  ScopedTempDir dir;
+  auto messages = GeneratedStream(29, 800);
+  ServiceOptions options = RecoverableOptions(dir.path());
+  options.durability.checkpoint_every_messages = 200;
+  auto service_or = Service::Open(options);
+  ASSERT_TRUE(service_or.ok());
+  Service& service = **service_or;
+  uint64_t longest_checkpointing = 0;
+  uint64_t longest_plain = 0;
+  for (size_t i = 0; i < messages.size(); ++i) {
+    const int64_t start = MonotonicNanos();
+    ASSERT_TRUE(service.Ingest(messages[i]).ok());
+    const auto took = static_cast<uint64_t>(MonotonicNanos() - start);
+    uint64_t& longest =
+        (i + 1) % 200 == 0 ? longest_checkpointing : longest_plain;
+    longest = std::max(longest, took);
+  }
+  obs::MetricsRegistry* metrics = service.metrics();
+  const obs::HistogramStats whole =
+      metrics->GetHistogram("microprov_checkpoint_nanos")->Snapshot();
+  ASSERT_EQ(whole.count, 4u);
+  // A checkpointing call is the checkpoint plus the submit and WAL
+  // enqueue every call makes, which no plain call took longer than.
+  EXPECT_GE(whole.max + longest_plain, longest_checkpointing);
+  double stages = 0;
+  for (const char* stage : {"barrier", "capture", "install"}) {
+    obs::HistogramMetric* hist = metrics->GetHistogram(
+        "microprov_checkpoint_stage_nanos",
+        StringPrintf("stage=\"%s\"", stage));
+    const obs::HistogramStats part = hist->Snapshot();
+    EXPECT_EQ(part.count, 4u) << stage;
+    EXPECT_GT(part.max, 0u) << stage;
+    stages += part.sum;
+  }
+  EXPECT_NEAR(stages, whole.sum, 1e-6 * whole.sum);
+}
+
+TEST(ServiceRecoveryTest, PowerLossModeSyncsBundleStoresAtCheckpoints) {
+  // With wal_sync_every_append (power-loss durability) each checkpoint
+  // fsyncs every shard's archive before the install can collect the WAL
+  // epochs that spilled into it; the default mode only flushes them.
+  for (bool power_loss : {false, true}) {
+    ScopedTempDir dir;
+    ServiceOptions options = RecoverableOptions(dir.path() + "/durable");
+    options.archive_dir = dir.path() + "/archive";
+    options.num_shards = 2;
+    options.engine.pool.max_pool_size = 2;  // per-shard floor: spills
+    options.durability.wal_sync_every_append = power_loss;
+    auto service_or = Service::Open(options);
+    ASSERT_TRUE(service_or.ok());
+    Service& service = **service_or;
+    for (const Message& msg : GeneratedStream(31, 3000)) {
+      ASSERT_TRUE(service.Ingest(msg).ok());
+    }
+    ASSERT_TRUE(service.Checkpoint().ok());
+    ASSERT_TRUE(service.Checkpoint().ok());
+    EXPECT_GT(service.Stats().archived_bundles, 0u);
+    const uint64_t syncs =
+        service.metrics()->GetCounter("microprov_store_syncs_total")->value();
+    EXPECT_EQ(syncs, power_loss ? 2 * options.num_shards : 0u) << power_loss;
+  }
 }
 
 }  // namespace

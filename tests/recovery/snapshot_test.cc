@@ -9,6 +9,7 @@
 #include "core/engine.h"
 #include "gen/generator.h"
 #include "storage/bundle_codec.h"
+#include "testing/alloc_counter.h"
 #include "testing/test_util.h"
 
 namespace microprov {
@@ -45,6 +46,17 @@ void IngestAll(ProvenanceEngine* engine, SimulatedClock* clock,
   }
 }
 
+/// What recovery imports: the engine's checkpoint encoding, decoded.
+EngineState Recovered(const ProvenanceEngine& engine) {
+  std::string encoded;
+  recovery::EncodeEngineState(engine.ExportState(), &encoded);
+  std::string_view input(encoded);
+  EngineState state;
+  EXPECT_TRUE(recovery::DecodeEngineState(&input, &state).ok());
+  EXPECT_TRUE(input.empty());
+  return state;
+}
+
 /// Engines are equal when their durable surfaces agree: message count,
 /// dictionary, and every bundle's full member/edge/count state (via the
 /// pinned bundle codec, which covers messages, indicant counts, edges,
@@ -65,8 +77,8 @@ void ExpectEnginesEqual(const ProvenanceEngine& a,
     }
   }
   EXPECT_EQ(a.summary_index().num_keys(), b.summary_index().num_keys());
-  EngineState sa = a.ExportState();
-  EngineState sb = b.ExportState();
+  EngineStateView sa = a.ExportState();
+  EngineStateView sb = b.ExportState();
   ASSERT_EQ(sa.bundles.size(), sb.bundles.size());
   for (size_t i = 0; i < sa.bundles.size(); ++i) {
     std::string ea, eb;
@@ -76,12 +88,64 @@ void ExpectEnginesEqual(const ProvenanceEngine& a,
   }
 }
 
+/// Reference for the checkpoint capture: an owning state holding a
+/// clone of every live bundle.
+EngineState CloneReference(const ProvenanceEngine& engine) {
+  EngineState state;
+  state.messages_ingested = engine.messages_ingested();
+  state.next_bundle_id = engine.pool().next_id();
+  state.pool_stats = engine.pool().stats();
+  for (int t = 0; t < kNumIndicantTypes; ++t) {
+    const auto type = static_cast<IndicantType>(t);
+    for (TermId id = 0;
+         id < static_cast<TermId>(engine.dictionary().NumTerms(type)); ++id) {
+      state.terms[t].push_back(engine.dictionary().Resolve(type, id));
+    }
+  }
+  for (const auto& [id, bundle] : engine.pool().bundles()) {
+    state.bundles.push_back(CloneBundle(*bundle, nullptr));
+  }
+  std::sort(state.bundles.begin(), state.bundles.end(),
+            [](const auto& a, const auto& b) { return a->id() < b->id(); });
+  return state;
+}
+
+/// The same delta with every borrowed bundle and term copied out.
+EngineDelta CloneReference(const EngineDeltaView& view) {
+  EngineDelta delta;
+  delta.messages_ingested = view.messages_ingested;
+  delta.next_bundle_id = view.next_bundle_id;
+  delta.pool_stats = view.pool_stats;
+  for (int t = 0; t < kNumIndicantTypes; ++t) {
+    delta.base_terms[t] = view.base_terms[t];
+    delta.new_terms[t].assign(view.new_terms[t].begin(),
+                              view.new_terms[t].end());
+  }
+  delta.removed = view.removed;
+  for (const Bundle* bundle : view.bundles) {
+    delta.bundles.push_back(CloneBundle(*bundle, nullptr));
+  }
+  return delta;
+}
+
+std::string EncodedState(const EngineStateView& state) {
+  std::string encoded;
+  recovery::EncodeEngineState(state, &encoded);
+  return encoded;
+}
+
+std::string EncodedDelta(const EngineDeltaView& delta) {
+  std::string encoded;
+  recovery::EncodeEngineDelta(delta, &encoded);
+  return encoded;
+}
+
 TEST(EngineStateTest, ExportImportReproducesEngine) {
   SimulatedClock clock;
   ProvenanceEngine source(DeterministicOptions(), &clock, nullptr);
   IngestAll(&source, &clock, GeneratedStream(7, 300));
 
-  EngineState state = source.ExportState();
+  EngineState state = Recovered(source);
   SimulatedClock clock2;
   clock2.Set(clock.Now());
   ProvenanceEngine restored(DeterministicOptions(), &clock2, nullptr);
@@ -104,7 +168,7 @@ TEST(EngineStateTest, ImportedEngineIngestsIdenticallyToSource) {
   SimulatedClock clock2;
   clock2.Set(clock.Now());
   ProvenanceEngine restored(DeterministicOptions(), &clock2, nullptr);
-  ASSERT_TRUE(restored.ImportState(source.ExportState()).ok());
+  ASSERT_TRUE(restored.ImportState(Recovered(source)).ok());
 
   for (size_t i = 250; i < messages.size(); ++i) {
     clock.Advance(messages[i].date);
@@ -125,7 +189,7 @@ TEST(EngineStateTest, ImportRequiresFreshEngine) {
   SimulatedClock clock;
   ProvenanceEngine source(DeterministicOptions(), &clock, nullptr);
   IngestAll(&source, &clock, GeneratedStream(3, 50));
-  EngineState state = source.ExportState();
+  EngineState state = Recovered(source);
 
   ProvenanceEngine dirty(DeterministicOptions(), &clock, nullptr);
   ASSERT_TRUE(
@@ -152,6 +216,76 @@ TEST(EngineStateTest, BinaryRoundTrip) {
   ExpectEnginesEqual(source, restored);
 }
 
+TEST(EngineStateTest, CaptureEncodesLikeCloneReference) {
+  // A small pool keeps refinement evicting, so the deltas carry
+  // removals as well as upserts.
+  EngineOptions options = DeterministicOptions();
+  options.pool.max_pool_size = 24;
+  auto messages = GeneratedStream(17, 1200);
+  SimulatedClock clock;
+  ProvenanceEngine engine(options, &clock, nullptr);
+  IngestAll(&engine, &clock,
+            std::vector<Message>(messages.begin(), messages.begin() + 300));
+
+  const std::string base = EncodedState(engine.ExportState());
+  EXPECT_EQ(base, EncodedState(CloneReference(engine)));
+  engine.ResetDeltaCursor();
+  EngineState chain = Recovered(engine);
+
+  size_t removed = 0;
+  for (size_t step = 1; step <= 3; ++step) {
+    IngestAll(&engine, &clock,
+              std::vector<Message>(messages.begin() + 300 * step,
+                                   messages.begin() + 300 * (step + 1)));
+    EngineDeltaView delta = engine.ExportDelta();
+    removed += delta.removed.size();
+    const std::string encoded = EncodedDelta(delta);
+    EXPECT_EQ(encoded, EncodedDelta(CloneReference(delta)))
+        << "delta " << step;
+    // The chain resolves to what a clone of the whole engine encodes.
+    std::string_view input(encoded);
+    EngineDelta decoded;
+    ASSERT_TRUE(recovery::DecodeEngineDelta(&input, &decoded).ok());
+    ASSERT_TRUE(ApplyEngineDelta(&chain, std::move(decoded)).ok());
+    EXPECT_EQ(EncodedState(chain), EncodedState(CloneReference(engine)))
+        << "chain after delta " << step;
+  }
+  EXPECT_GT(removed, 0u);
+}
+
+TEST(EngineStateTest, CaptureAllocationsDoNotGrowWithMessages) {
+  // Ten or a thousand members of one topic: the capture borrows the
+  // bundles instead of replaying their members, so it allocates the
+  // same few vectors for both.
+  EngineOptions options = DeterministicOptions();
+  options.pool.max_bundle_size = 0;
+  auto capture_allocations = [&options](int members) {
+    SimulatedClock clock;
+    ProvenanceEngine engine(options, &clock, nullptr);
+    for (int i = 0; i <= members; ++i) {
+      if (i == members) engine.ResetDeltaCursor();
+      const Message msg =
+          MakeMessage(i + 1, kTestEpoch + i, "alice", {"redsox"});
+      clock.Advance(msg.date);
+      EXPECT_TRUE(engine.Ingest(msg).ok());
+    }
+    size_t captured = 0;
+    const uint64_t before = testing_util::AllocationCount();
+    {
+      EngineStateView state = engine.ExportState();
+      EngineDeltaView delta = engine.ExportDelta();
+      captured = state.bundles.size() + delta.bundles.size();
+    }
+    const uint64_t allocations = testing_util::AllocationCount() - before;
+    EXPECT_GT(captured, 1u);
+    return allocations;
+  };
+  const uint64_t small = capture_allocations(10);
+  const uint64_t large = capture_allocations(1000);
+  EXPECT_EQ(small, large);
+  EXPECT_LE(large, 8u);
+}
+
 recovery::ServiceSnapshot MakeSnapshot() {
   recovery::ServiceSnapshot snapshot;
   snapshot.num_shards = 2;
@@ -166,7 +300,7 @@ recovery::ServiceSnapshot MakeSnapshot() {
     }
     recovery::ShardSnapshot shard;
     shard.clock = clock.Now();
-    shard.state = engine.ExportState();
+    shard.state = Recovered(engine);
     snapshot.shards.push_back(std::move(shard));
   }
   return snapshot;
@@ -212,6 +346,59 @@ TEST(ServiceSnapshotTest, RejectsCorruptionAnywhere) {
   EXPECT_FALSE(recovery::DecodeServiceSnapshot(encoded + "x").ok());
   EXPECT_FALSE(recovery::DecodeServiceSnapshot("").ok());
   EXPECT_FALSE(recovery::DecodeServiceSnapshot("abc").ok());
+}
+
+TEST(ServiceSnapshotTest, CaptureEncodesLikeCloneReference) {
+  // Two live shards captured into one service image, base then delta,
+  // against the same images built from clones.
+  std::vector<std::unique_ptr<SimulatedClock>> clocks;
+  std::vector<std::unique_ptr<ProvenanceEngine>> engines;
+  for (uint64_t i = 0; i < 2; ++i) {
+    clocks.push_back(std::make_unique<SimulatedClock>());
+    engines.push_back(std::make_unique<ProvenanceEngine>(
+        DeterministicOptions(), clocks.back().get(), nullptr));
+    IngestAll(engines.back().get(), clocks.back().get(),
+              GeneratedStream(200 + i, 150));
+  }
+  recovery::ServiceSnapshotView live;
+  recovery::ServiceSnapshot cloned;
+  live.num_shards = cloned.num_shards = 2;
+  live.watermark = cloned.watermark = kTestEpoch + 900;
+  live.accepted = cloned.accepted = 300;
+  for (size_t i = 0; i < 2; ++i) {
+    recovery::ShardSnapshotView& view = live.shards.emplace_back();
+    view.clock = clocks[i]->Now();
+    view.state = engines[i]->ExportState();
+    recovery::ShardSnapshot shard;
+    shard.clock = view.clock;
+    shard.state = CloneReference(*engines[i]);
+    cloned.shards.push_back(std::move(shard));
+  }
+  std::string live_bytes, cloned_bytes;
+  recovery::EncodeServiceSnapshot(live, &live_bytes);
+  recovery::EncodeServiceSnapshot(cloned, &cloned_bytes);
+  EXPECT_EQ(live_bytes, cloned_bytes);
+
+  recovery::ServiceDeltaView live_delta;
+  recovery::ServiceDelta cloned_delta;
+  live_delta.parent_seq = cloned_delta.parent_seq = 1;
+  live_delta.num_shards = cloned_delta.num_shards = 2;
+  for (size_t i = 0; i < 2; ++i) {
+    engines[i]->ResetDeltaCursor();
+    IngestAll(engines[i].get(), clocks[i].get(), GeneratedStream(300 + i, 80));
+    recovery::ShardDeltaView& view = live_delta.shards.emplace_back();
+    view.clock = clocks[i]->Now();
+    view.delta = engines[i]->ExportDelta();
+    recovery::ShardDelta shard;
+    shard.clock = view.clock;
+    shard.delta = CloneReference(view.delta);
+    cloned_delta.shards.push_back(std::move(shard));
+  }
+  live_bytes.clear();
+  cloned_bytes.clear();
+  recovery::EncodeServiceDelta(live_delta, &live_bytes);
+  recovery::EncodeServiceDelta(cloned_delta, &cloned_bytes);
+  EXPECT_EQ(live_bytes, cloned_bytes);
 }
 
 }  // namespace

@@ -424,10 +424,17 @@ TEST(ServiceObservabilityTest, HealthzReports503OnStalledWalFlusher) {
   ASSERT_TRUE(service_or.ok());
   Service& service = **service_or;
 
-  for (const Message& msg : TopicStream()) {
+  const std::vector<Message> stream = TopicStream();
+  for (const Message& msg : stream) {
     ASSERT_TRUE(service.Ingest(msg).ok());
   }
   blocker.WaitUntilBlocked();
+  // Let the shard workers apply the whole stream first: a queue still
+  // draining (slow under sanitizers) past the threshold would read as
+  // an ingest stall, which outranks the flusher's.
+  while (service.Stats().messages_ingested < stream.size()) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
 
   // Records were accepted (shards ingested them) but the flusher froze
   // after dequeuing: pending bytes stay up, the heartbeat goes stale,

@@ -149,6 +149,46 @@ TEST_F(BundleStoreTest, RotationCreatesNewFiles) {
   }
 }
 
+TEST_F(BundleStoreTest, SyncCoversRotatedLogsAndSkipsCompactedOnes) {
+  BundleStore::Options options = StoreOptions();
+  options.rotate_bytes = 4096;  // tiny, force rotation
+  auto store_or = BundleStore::Open(options);
+  ASSERT_TRUE(store_or.ok());
+  auto& store = *store_or;
+  obs::MetricsRegistry registry;
+  store->BindMetrics(&registry, "shard=\"0\"");
+  auto syncs = [&registry] {
+    return registry.GetCounter("microprov_store_syncs_total")->value();
+  };
+  auto log_files = [&options] {
+    auto names_or = Env::Default()->ListDir(options.dir);
+    EXPECT_TRUE(names_or.ok());
+    return names_or->size();
+  };
+  for (BundleId id = 1; id <= 40; ++id) {
+    ASSERT_TRUE(store->Put(*MakeBundle(id, 10)).ok());
+  }
+  EXPECT_EQ(syncs(), 0u);  // Put and Flush never fsync by default
+  ASSERT_TRUE(store->Flush().ok());
+  EXPECT_EQ(syncs(), 0u);
+  ASSERT_TRUE(store->Sync().ok());
+  EXPECT_EQ(syncs(), 1u);
+
+  // Compaction deletes the rotated logs; a later Sync must not reopen
+  // (and so re-create) any of them.
+  for (BundleId id = 41; id <= 80; ++id) {
+    ASSERT_TRUE(store->Put(*MakeBundle(id, 10)).ok());
+  }
+  ASSERT_TRUE(store->Compact().ok());
+  const size_t compacted = log_files();
+  ASSERT_TRUE(store->Sync().ok());
+  EXPECT_EQ(syncs(), 2u);
+  EXPECT_EQ(log_files(), compacted);
+  for (BundleId id = 1; id <= 80; ++id) {
+    ASSERT_TRUE(store->Get(id).ok()) << id;
+  }
+}
+
 TEST_F(BundleStoreTest, ScanVisitsEverything) {
   auto store_or = BundleStore::Open(StoreOptions());
   ASSERT_TRUE(store_or.ok());
