@@ -46,6 +46,8 @@ StatusOr<std::unique_ptr<Service>> Service::Open(
   if (!budget.ok()) return budget;
   std::unique_ptr<Service> service(new Service(options));
 
+  RecoveryStages stages;
+  const int64_t archive_from = MonotonicNanos();
   std::vector<BundleArchive*> archives;
   if (!options.archive_dir.empty()) {
     MICROPROV_RETURN_IF_ERROR(
@@ -63,6 +65,7 @@ StatusOr<std::unique_ptr<Service>> Service::Open(
       service->stores_.push_back(std::move(*store_or));
     }
   }
+  stages.archive_open = MonotonicNanos() - archive_from;
 
   ShardedEngineOptions sharded_options;
   sharded_options.num_shards = options.num_shards;
@@ -98,10 +101,12 @@ StatusOr<std::unique_ptr<Service>> Service::Open(
       "microprov_query_fanout", "", "Shards consulted per Service::Search");
 
   if (options.durability.enabled()) {
+    const int64_t load_from = MonotonicNanos();
     auto manager_or = recovery::DurabilityManager::Open(
         options.durability, static_cast<uint32_t>(options.num_shards),
         service->registry_.get());
     if (!manager_or.ok()) return manager_or.status();
+    stages.checkpoint_load = MonotonicNanos() - load_from;
     service->durability_ = std::move(*manager_or);
     obs::MetricsRegistry* reg = service->registry_.get();
     service->checkpoint_hist_ = reg->GetHistogram(
@@ -115,7 +120,21 @@ StatusOr<std::unique_ptr<Service>> Service::Open(
         "microprov_checkpoint_stage_nanos", "stage=\"capture\"", kStageHelp);
     service->checkpoint_install_hist_ = reg->GetHistogram(
         "microprov_checkpoint_stage_nanos", "stage=\"install\"", kStageHelp);
-    MICROPROV_RETURN_IF_ERROR(service->Recover());
+    MICROPROV_RETURN_IF_ERROR(service->Recover(&stages));
+    constexpr char kRecoveryHelp[] =
+        "Service::Open recovery by stage; the stages sum to the "
+        "recovery part of Open";
+    const std::pair<const char*, int64_t> observed[] = {
+        {"archive_open", stages.archive_open},
+        {"checkpoint_load", stages.checkpoint_load},
+        {"import", stages.import},
+        {"wal_read", stages.wal_read},
+        {"replay", stages.replay}};
+    for (const auto& [stage, nanos] : observed) {
+      reg->GetHistogram("microprov_recovery_stage_nanos",
+                        StringPrintf("stage=\"%s\"", stage), kRecoveryHelp)
+          ->Observe(static_cast<uint64_t>(nanos));
+    }
     if (service->recovered_tail_dirty_) {
       // The tail held torn bytes, orphaned sequences, or duplicates:
       // everything recoverable was recovered, but replaying those
@@ -210,9 +229,10 @@ StatusOr<std::unique_ptr<Service>> Service::Open(
 
 Service::~Service() = default;
 
-Status Service::Recover() {
+Status Service::Recover(RecoveryStages* stages) {
   // Single-threaded: workers have not started, so the shard engines and
   // clocks are exclusively ours.
+  const int64_t import_from = MonotonicNanos();
   if (durability_->has_snapshot()) {
     recovery::ServiceSnapshot snapshot = durability_->TakeSnapshot();
     for (size_t i = 0; i < sharded_->num_shards(); ++i) {
@@ -225,6 +245,8 @@ Status Service::Recover() {
     clock_.Advance(snapshot.watermark);
     accepted_ = snapshot.accepted;
   }
+  const int64_t read_from = MonotonicNanos();
+  stages->import = read_from - import_from;
   // Read every shard's WAL tail. Interior corruption (or a torn tail
   // anywhere but the final segment) fails recovery outright rather
   // than silently replaying a stream with a hole in the middle.
@@ -236,6 +258,8 @@ Status Service::Recover() {
     if (!tail_or.ok()) return tail_or.status();
     tails[i] = std::move(*tail_or);
   }
+  const int64_t replay_from = MonotonicNanos();
+  stages->wal_read = replay_from - read_from;
   // Durable-watermark resolution. Legacy v1 records carry no sequence
   // (seq == 0): they predate group commit, were written synchronously
   // before acceptance, and are unconditionally durable in file order.
@@ -320,6 +344,7 @@ Status Service::Recover() {
   }
   durability_->NoteReplayed(total_applied);
   accepted_ = watermark;
+  stages->replay = MonotonicNanos() - replay_from;
   return Status::OK();
 }
 

@@ -267,6 +267,16 @@ class Service {
  private:
   explicit Service(const ServiceOptions& options);
 
+  /// Wall time of each recovery stage of Open, exported once per Open
+  /// as microprov_recovery_stage_nanos{stage=...}.
+  struct RecoveryStages {
+    int64_t archive_open = 0;
+    int64_t checkpoint_load = 0;
+    int64_t import = 0;
+    int64_t wal_read = 0;
+    int64_t replay = 0;
+  };
+
   /// Checkpoint import + WAL replay into the (not yet started) shard
   /// engines; called from Open with exclusive ownership. Replays the
   /// durable prefix (largest contiguous acceptance sequence), dedupes
@@ -274,8 +284,9 @@ class Service {
   /// it held torn bytes, orphans (records past the contiguous
   /// watermark), or duplicates — Open then installs a fresh base
   /// checkpoint before re-opening the WAL, which epoch-bumps past the
-  /// damaged segments so they are never replayed again.
-  Status Recover();
+  /// damaged segments so they are never replayed again. Times its
+  /// own stages (import, wal_read, replay) into *stages.
+  Status Recover(RecoveryStages* stages);
   /// Checkpoint body; caller holds mu_ (or has exclusive ownership
   /// during Open). `force_base` writes a full snapshot even when the
   /// incremental-checkpoint policy would pick a delta.
