@@ -4,6 +4,7 @@
 
 #include "common/string_util.h"
 #include "core/allocator.h"
+#include "storage/bundle_codec.h"
 
 namespace microprov {
 
@@ -411,9 +412,11 @@ Status ProvenanceEngine::ImportState(const EngineState& state) {
       }
     }
   }
-  for (const std::unique_ptr<Bundle>& src : state.bundles) {
-    if (src == nullptr) return Status::InvalidArgument("null bundle");
-    Bundle* bundle = pool_.Adopt(CloneBundle(*src, &dict_));
+  // Each record is decoded once, straight onto the shard dictionary.
+  for (const BundleRecord& record : state.bundles) {
+    auto decoded_or = DecodeBundle(record.bytes, &dict_);
+    if (!decoded_or.ok()) return decoded_or.status();
+    Bundle* bundle = pool_.Adopt(std::move(*decoded_or));
     if (bundle == nullptr) {
       return Status::Corruption("duplicate bundle id on import");
     }

@@ -172,7 +172,8 @@ class ProvenanceEngine {
   /// Restores a decoded checkpoint state. The engine must be
   /// fresh — nothing ingested, empty pool, empty dictionary — because
   /// import rebuilds the TermId spaces and the summary index from
-  /// scratch; importing over live state would corrupt both. After a
+  /// scratch; importing over live state would corrupt both. Each bundle
+  /// record is decoded once, onto this engine's dictionary. After a
   /// successful import, ingesting the same post-checkpoint message
   /// sequence reproduces the source engine (the recovery contract).
   Status ImportState(const EngineState& state);

@@ -4,23 +4,13 @@
 
 namespace microprov {
 
-std::unique_ptr<Bundle> CloneBundle(const Bundle& src,
-                                    IndicantDictionary* dict) {
-  auto clone = std::make_unique<Bundle>(src.id(), dict);
-  for (const BundleMessage& bm : src.messages()) {
-    clone->AddMessage(bm.msg, bm.parent, bm.conn_type, bm.conn_score);
-  }
-  if (src.closed()) clone->Close();
-  return clone;
-}
-
 namespace {
 
-void BorrowBundles(const std::vector<std::unique_ptr<Bundle>>& bundles,
-                   std::vector<const Bundle*>* view) {
+void BorrowRecords(const std::vector<BundleRecord>& bundles,
+                   std::vector<std::string_view>* view) {
   view->reserve(bundles.size());
-  for (const std::unique_ptr<Bundle>& bundle : bundles) {
-    view->push_back(bundle.get());
+  for (const BundleRecord& record : bundles) {
+    view->push_back(record.bytes);
   }
 }
 
@@ -33,7 +23,7 @@ EngineStateView::EngineStateView(const EngineState& state)
   for (int t = 0; t < kNumIndicantTypes; ++t) {
     terms[t].assign(state.terms[t].begin(), state.terms[t].end());
   }
-  BorrowBundles(state.bundles, &bundles);
+  BorrowRecords(state.bundles, &records);
 }
 
 EngineDeltaView::EngineDeltaView(const EngineDelta& delta)
@@ -46,7 +36,7 @@ EngineDeltaView::EngineDeltaView(const EngineDelta& delta)
     new_terms[t].assign(delta.new_terms[t].begin(),
                         delta.new_terms[t].end());
   }
-  BorrowBundles(delta.bundles, &bundles);
+  BorrowRecords(delta.bundles, &records);
 }
 
 Status ApplyEngineDelta(EngineState* state, EngineDelta&& delta) {
@@ -59,47 +49,41 @@ Status ApplyEngineDelta(EngineState* state, EngineDelta&& delta) {
       state->terms[t].push_back(std::move(term));
     }
   }
-  for (size_t j = 0; j < delta.bundles.size(); ++j) {
-    if (delta.bundles[j] == nullptr) {
-      return Status::Corruption("engine delta: null bundle");
-    }
-    if (j > 0 &&
-        delta.bundles[j]->id() <= delta.bundles[j - 1]->id()) {
+  for (size_t j = 1; j < delta.bundles.size(); ++j) {
+    if (delta.bundles[j].id <= delta.bundles[j - 1].id) {
       return Status::Corruption("engine delta: bundles not ascending");
     }
   }
   // Removals never target a bundle the same delta upserts (ids are
   // allocated once and a removed bundle is terminal), so a single
-  // sorted merge resolves everything: delta bundles supersede base
-  // bundles with the same id, removed ids drop out entirely.
+  // sorted merge resolves everything: delta records supersede base
+  // records with the same id, removed ids drop out entirely.
   std::unordered_set<BundleId> drop(delta.removed.begin(),
                                     delta.removed.end());
-  std::vector<std::unique_ptr<Bundle>>& base = state->bundles;
-  std::vector<std::unique_ptr<Bundle>>& ups = delta.bundles;
-  std::vector<std::unique_ptr<Bundle>> merged;
+  const std::vector<BundleRecord>& base = state->bundles;
+  const std::vector<BundleRecord>& ups = delta.bundles;
+  std::vector<BundleRecord> merged;
   merged.reserve(base.size() + ups.size());
   size_t i = 0;
   size_t j = 0;
   while (i < base.size() || j < ups.size()) {
     const bool take_base =
-        j >= ups.size() ||
-        (i < base.size() && base[i]->id() < ups[j]->id());
+        j >= ups.size() || (i < base.size() && base[i].id < ups[j].id);
     if (take_base) {
-      if (drop.count(base[i]->id()) == 0) {
-        merged.push_back(std::move(base[i]));
-      }
+      if (drop.count(base[i].id) == 0) merged.push_back(base[i]);
       ++i;
     } else {
-      if (i < base.size() && base[i]->id() == ups[j]->id()) {
-        ++i;  // superseded by the delta's newer clone
+      if (i < base.size() && base[i].id == ups[j].id) {
+        ++i;  // superseded by the delta's newer record
       }
-      if (drop.count(ups[j]->id()) == 0) {
-        merged.push_back(std::move(ups[j]));
-      }
+      if (drop.count(ups[j].id) == 0) merged.push_back(ups[j]);
       ++j;
     }
   }
-  base = std::move(merged);
+  state->bundles = std::move(merged);
+  for (std::shared_ptr<const std::string>& buffer : delta.buffers) {
+    state->buffers.push_back(std::move(buffer));
+  }
   state->messages_ingested = delta.messages_ingested;
   state->next_bundle_id = delta.next_bundle_id;
   state->pool_stats = delta.pool_stats;

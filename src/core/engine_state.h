@@ -9,10 +9,24 @@
 #include "common/status.h"
 #include "core/bundle.h"
 #include "core/indicant.h"
-#include "core/indicant_dictionary.h"
 #include "core/pool.h"
 
 namespace microprov {
+
+/// One checkpointed bundle, still encoded: the id from its record header
+/// and its EncodeBundle bytes, which live in a buffer the owning
+/// EngineState or EngineDelta holds. The checkpoint decoders check every
+/// record as DecodeBundle would, so ImportState decodes each surviving
+/// record once, straight onto the engine's dictionary.
+struct BundleRecord {
+  BundleId id = 0;
+  std::string_view bytes;
+};
+
+/// The buffers a decoded state's records point into. Shared: every
+/// shard of one checkpoint file holds the file, and a resolved chain
+/// holds every file one of its records came from.
+using RecordBuffers = std::vector<std::shared_ptr<const std::string>>;
 
 /// A detached, self-contained copy of one ProvenanceEngine's durable
 /// state — everything a checkpoint must capture so that replaying the
@@ -23,9 +37,8 @@ namespace microprov {
 ///
 /// What is captured: the interning dictionary (surface forms in TermId
 /// order, so re-interning in order reproduces identical ids), every
-/// live bundle (each carrying a private dictionary so the state
-/// outlives its source), the pool's id allocator position and
-/// lifecycle counters, and the ingested-message count. What is NOT
+/// live bundle as its encoded record, the pool's id allocator position
+/// and lifecycle counters, and the ingested-message count. What is NOT
 /// captured: the summary index — it is derived state, rebuilt from the
 /// bundles on import — and evaluation-only artifacts (edge log, stage
 /// timers, metrics), which restart empty.
@@ -42,8 +55,11 @@ struct EngineState {
   PoolStats pool_stats;
   /// Surface forms per IndicantType, position == TermId.
   std::vector<std::string> terms[kNumIndicantTypes];
-  /// Live bundles sorted by ascending id, each with a private dictionary.
-  std::vector<std::unique_ptr<Bundle>> bundles;
+  /// Live bundles' records sorted by ascending id.
+  std::vector<BundleRecord> bundles;
+  /// What `bundles` points into (empty when the decoder's caller keeps
+  /// the bytes alive itself).
+  RecordBuffers buffers;
 };
 
 /// The changes to an EngineState since a delta cursor was last reset:
@@ -74,9 +90,10 @@ struct EngineDelta {
   /// Bundles that left the pool since the cursor (refinement eviction,
   /// archive dump, drain), ascending by id.
   std::vector<BundleId> removed;
-  /// Bundles created or touched since the cursor, ascending by id, each
-  /// with a private dictionary (upsert over the base state).
-  std::vector<std::unique_ptr<Bundle>> bundles;
+  /// Records of the bundles created or touched since the cursor,
+  /// ascending by id (upserts over the base state).
+  std::vector<BundleRecord> bundles;
+  RecordBuffers buffers;
 };
 
 /// EngineState's fields borrowed rather than owned: what a checkpoint
@@ -87,7 +104,7 @@ struct EngineDelta {
 /// next Ingest, Drain or ImportState.
 struct EngineStateView {
   EngineStateView() = default;
-  /// Borrows an owning state (tests, tools re-encoding a decoded image).
+  /// Borrows a decoded state, whose records re-encode verbatim.
   EngineStateView(const EngineState& state);  // NOLINT: implicit view
 
   uint64_t messages_ingested = 0;
@@ -95,8 +112,11 @@ struct EngineStateView {
   PoolStats pool_stats;
   /// Surface forms per IndicantType, position == TermId.
   std::vector<std::string_view> terms[kNumIndicantTypes];
-  /// Live bundles sorted by ascending id.
+  /// The bundles sorted by ascending id: live bundles (a live engine's
+  /// view) or the records of a decoded state, written verbatim. One of
+  /// the two is empty.
   std::vector<const Bundle*> bundles;
+  std::vector<std::string_view> records;
 };
 
 /// EngineDelta's fields borrowed rather than owned (see EngineStateView
@@ -112,24 +132,19 @@ struct EngineDeltaView {
   uint32_t base_terms[kNumIndicantTypes] = {};
   std::vector<std::string_view> new_terms[kNumIndicantTypes];
   std::vector<BundleId> removed;
-  /// Bundles created or touched since the cursor, ascending by id.
+  /// Bundles created or touched since the cursor, ascending by id: live
+  /// bundles or a decoded delta's records, as in EngineStateView.
   std::vector<const Bundle*> bundles;
+  std::vector<std::string_view> records;
 };
 
 /// Folds `delta` into `state` in place: appends the new dictionary
-/// terms, drops removed bundles, upserts the touched bundles (keeping
-/// the ascending-id order ExportState guarantees), and overwrites the
-/// scalar counters. Fails if the delta's term tail does not line up
-/// with the base state's term counts.
+/// terms, drops removed records, upserts the touched records (keeping
+/// the ascending-id order ExportState guarantees), takes over the
+/// delta's buffers, and overwrites the scalar counters. Fails if the
+/// delta's term tail does not line up with the base state's term
+/// counts.
 Status ApplyEngineDelta(EngineState* state, EngineDelta&& delta);
-
-/// Deep-copies `src` into a new bundle interning against `dict` (nullptr
-/// for a private dictionary). Implemented as an AddMessage replay, which
-/// reconstructs summaries, time ranges, latest-by-user, and memory
-/// accounting; the closed flag is carried over. ImportState uses it to
-/// move decoded bundles onto the engine's dictionary.
-std::unique_ptr<Bundle> CloneBundle(const Bundle& src,
-                                    IndicantDictionary* dict);
 
 }  // namespace microprov
 

@@ -167,7 +167,7 @@ Status DurabilityManager::LoadLatestCheckpoint() {
       Status read = Env::Default()->ReadFileToString(CheckpointPath(base),
                                                      &encoded);
       if (!read.ok()) break;
-      auto snapshot_or = DecodeServiceSnapshot(encoded);
+      auto snapshot_or = DecodeServiceSnapshot(std::move(encoded));
       if (!snapshot_or.ok()) break;
       if (snapshot_or->num_shards != num_shards_) {
         return Status::InvalidArgument(StringPrintf(
@@ -185,7 +185,7 @@ Status DurabilityManager::LoadLatestCheckpoint() {
                  .ok()) {
           break;
         }
-        auto delta_or = DecodeServiceDelta(delta_encoded);
+        auto delta_or = DecodeServiceDelta(std::move(delta_encoded));
         if (!delta_or.ok()) break;
         if (delta_or->parent_seq != resolved) break;
         if (!ApplyServiceDelta(&image, std::move(*delta_or)).ok()) {

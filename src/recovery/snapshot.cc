@@ -1,5 +1,7 @@
 #include "recovery/snapshot.h"
 
+#include <memory>
+
 #include "common/coding.h"
 #include "common/crc32c.h"
 #include "storage/bundle_codec.h"
@@ -42,14 +44,62 @@ ServiceDeltaView::ServiceDeltaView(const ServiceDelta& delta)
 namespace {
 
 void EncodeBundles(const std::vector<const Bundle*>& bundles,
+                   const std::vector<std::string_view>& records,
                    std::string* dst) {
-  PutVarint32(dst, static_cast<uint32_t>(bundles.size()));
+  PutVarint32(dst, static_cast<uint32_t>(bundles.size() + records.size()));
   std::string encoded;
   for (const Bundle* bundle : bundles) {
     encoded.clear();
     EncodeBundle(*bundle, &encoded);
     PutLengthPrefixed(dst, encoded);
   }
+  for (std::string_view record : records) PutLengthPrefixed(dst, record);
+}
+
+/// Reads the count of a list whose items each take at least one byte of
+/// *input. A count past the bytes left is corrupt, so what a decoder
+/// reserves for a count stays within a multiple of the input's size.
+bool GetCount(std::string_view* input, uint32_t* count) {
+  return GetVarint32(input, count) && *count <= input->size();
+}
+
+Status DecodeTerms(std::string_view* input, const char* what,
+                   std::vector<std::string>* terms) {
+  uint32_t count = 0;
+  if (!GetCount(input, &count)) {
+    return Status::Corruption(std::string(what) + ": bad term count");
+  }
+  terms->clear();
+  terms->reserve(count);
+  for (uint32_t i = 0; i < count; ++i) {
+    std::string_view term;
+    if (!GetLengthPrefixed(input, &term)) {
+      return Status::Corruption(std::string(what) + ": truncated term");
+    }
+    terms->emplace_back(term);
+  }
+  return Status::OK();
+}
+
+/// Checks every bundle record as DecodeBundle would and keeps it
+/// encoded, borrowing *input's bytes.
+Status DecodeBundleRecords(std::string_view* input, const char* what,
+                           std::vector<BundleRecord>* records) {
+  uint32_t count = 0;
+  if (!GetCount(input, &count)) {
+    return Status::Corruption(std::string(what) + ": bad bundle count");
+  }
+  records->clear();
+  records->reserve(count);
+  for (uint32_t i = 0; i < count; ++i) {
+    BundleRecord record;
+    if (!GetLengthPrefixed(input, &record.bytes)) {
+      return Status::Corruption(std::string(what) + ": truncated bundle");
+    }
+    MICROPROV_RETURN_IF_ERROR(CheckBundleRecord(record.bytes, &record.id));
+    records->push_back(record);
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -70,7 +120,7 @@ void EncodeEngineState(const EngineStateView& state, std::string* dst) {
       PutLengthPrefixed(dst, term);
     }
   }
-  EncodeBundles(state.bundles, dst);
+  EncodeBundles(state.bundles, state.records, dst);
 }
 
 Status DecodeEngineState(std::string_view* input, EngineState* state) {
@@ -94,36 +144,10 @@ Status DecodeEngineState(std::string_view* input, EngineState* state) {
   }
   state->next_bundle_id = next_id;
   for (int t = 0; t < kNumIndicantTypes; ++t) {
-    uint32_t count = 0;
-    if (!GetVarint32(input, &count)) {
-      return Status::Corruption("engine state: truncated term count");
-    }
-    state->terms[t].clear();
-    state->terms[t].reserve(count);
-    for (uint32_t i = 0; i < count; ++i) {
-      std::string_view term;
-      if (!GetLengthPrefixed(input, &term)) {
-        return Status::Corruption("engine state: truncated term");
-      }
-      state->terms[t].emplace_back(term);
-    }
+    MICROPROV_RETURN_IF_ERROR(
+        DecodeTerms(input, "engine state", &state->terms[t]));
   }
-  uint32_t num_bundles = 0;
-  if (!GetVarint32(input, &num_bundles)) {
-    return Status::Corruption("engine state: truncated bundle count");
-  }
-  state->bundles.clear();
-  state->bundles.reserve(num_bundles);
-  for (uint32_t i = 0; i < num_bundles; ++i) {
-    std::string_view encoded;
-    if (!GetLengthPrefixed(input, &encoded)) {
-      return Status::Corruption("engine state: truncated bundle");
-    }
-    auto bundle_or = DecodeBundle(encoded);
-    if (!bundle_or.ok()) return bundle_or.status();
-    state->bundles.push_back(std::move(*bundle_or));
-  }
-  return Status::OK();
+  return DecodeBundleRecords(input, "engine state", &state->bundles);
 }
 
 void EncodeServiceSnapshot(const ServiceSnapshotView& snapshot,
@@ -143,7 +167,10 @@ void EncodeServiceSnapshot(const ServiceSnapshotView& snapshot,
   PutFixed32(dst, crc32c::Mask(crc));
 }
 
-StatusOr<ServiceSnapshot> DecodeServiceSnapshot(std::string_view encoded) {
+StatusOr<ServiceSnapshot> DecodeServiceSnapshot(std::string encoded_bytes) {
+  auto buffer =
+      std::make_shared<const std::string>(std::move(encoded_bytes));
+  const std::string_view encoded(*buffer);
   if (encoded.size() < sizeof(uint32_t) * 2) {
     return Status::Corruption("snapshot: too short");
   }
@@ -170,6 +197,9 @@ StatusOr<ServiceSnapshot> DecodeServiceSnapshot(std::string_view encoded) {
       !GetVarint64(&body, &snapshot.accepted)) {
     return Status::Corruption("snapshot: truncated header");
   }
+  if (snapshot.num_shards > body.size()) {
+    return Status::Corruption("snapshot: bad shard count");
+  }
   snapshot.shards.reserve(snapshot.num_shards);
   for (uint32_t i = 0; i < snapshot.num_shards; ++i) {
     ShardSnapshot shard;
@@ -177,6 +207,7 @@ StatusOr<ServiceSnapshot> DecodeServiceSnapshot(std::string_view encoded) {
       return Status::Corruption("snapshot: truncated shard clock");
     }
     MICROPROV_RETURN_IF_ERROR(DecodeEngineState(&body, &shard.state));
+    shard.state.buffers.push_back(buffer);
     snapshot.shards.push_back(std::move(shard));
   }
   if (!body.empty()) {
@@ -204,7 +235,7 @@ void EncodeEngineDelta(const EngineDeltaView& delta, std::string* dst) {
   }
   PutVarint32(dst, static_cast<uint32_t>(delta.removed.size()));
   for (BundleId id : delta.removed) PutVarint64(dst, id);
-  EncodeBundles(delta.bundles, dst);
+  EncodeBundles(delta.bundles, delta.records, dst);
 }
 
 Status DecodeEngineDelta(std::string_view* input, EngineDelta* delta) {
@@ -228,24 +259,15 @@ Status DecodeEngineDelta(std::string_view* input, EngineDelta* delta) {
   }
   delta->next_bundle_id = next_id;
   for (int t = 0; t < kNumIndicantTypes; ++t) {
-    uint32_t count = 0;
-    if (!GetVarint32(input, &delta->base_terms[t]) ||
-        !GetVarint32(input, &count)) {
-      return Status::Corruption("engine delta: truncated term count");
+    if (!GetVarint32(input, &delta->base_terms[t])) {
+      return Status::Corruption("engine delta: truncated term cursor");
     }
-    delta->new_terms[t].clear();
-    delta->new_terms[t].reserve(count);
-    for (uint32_t i = 0; i < count; ++i) {
-      std::string_view term;
-      if (!GetLengthPrefixed(input, &term)) {
-        return Status::Corruption("engine delta: truncated term");
-      }
-      delta->new_terms[t].emplace_back(term);
-    }
+    MICROPROV_RETURN_IF_ERROR(
+        DecodeTerms(input, "engine delta", &delta->new_terms[t]));
   }
   uint32_t num_removed = 0;
-  if (!GetVarint32(input, &num_removed)) {
-    return Status::Corruption("engine delta: truncated removal count");
+  if (!GetCount(input, &num_removed)) {
+    return Status::Corruption("engine delta: bad removal count");
   }
   delta->removed.clear();
   delta->removed.reserve(num_removed);
@@ -256,22 +278,7 @@ Status DecodeEngineDelta(std::string_view* input, EngineDelta* delta) {
     }
     delta->removed.push_back(id);
   }
-  uint32_t num_bundles = 0;
-  if (!GetVarint32(input, &num_bundles)) {
-    return Status::Corruption("engine delta: truncated bundle count");
-  }
-  delta->bundles.clear();
-  delta->bundles.reserve(num_bundles);
-  for (uint32_t i = 0; i < num_bundles; ++i) {
-    std::string_view encoded;
-    if (!GetLengthPrefixed(input, &encoded)) {
-      return Status::Corruption("engine delta: truncated bundle");
-    }
-    auto bundle_or = DecodeBundle(encoded);
-    if (!bundle_or.ok()) return bundle_or.status();
-    delta->bundles.push_back(std::move(*bundle_or));
-  }
-  return Status::OK();
+  return DecodeBundleRecords(input, "engine delta", &delta->bundles);
 }
 
 void EncodeServiceDelta(const ServiceDeltaView& delta, std::string* dst) {
@@ -291,7 +298,10 @@ void EncodeServiceDelta(const ServiceDeltaView& delta, std::string* dst) {
   PutFixed32(dst, crc32c::Mask(crc));
 }
 
-StatusOr<ServiceDelta> DecodeServiceDelta(std::string_view encoded) {
+StatusOr<ServiceDelta> DecodeServiceDelta(std::string encoded_bytes) {
+  auto buffer =
+      std::make_shared<const std::string>(std::move(encoded_bytes));
+  const std::string_view encoded(*buffer);
   if (encoded.size() < sizeof(uint32_t) * 2) {
     return Status::Corruption("delta: too short");
   }
@@ -319,6 +329,9 @@ StatusOr<ServiceDelta> DecodeServiceDelta(std::string_view encoded) {
       !GetVarint64(&body, &delta.accepted)) {
     return Status::Corruption("delta: truncated header");
   }
+  if (delta.num_shards > body.size()) {
+    return Status::Corruption("delta: bad shard count");
+  }
   delta.shards.reserve(delta.num_shards);
   for (uint32_t i = 0; i < delta.num_shards; ++i) {
     ShardDelta shard;
@@ -326,6 +339,7 @@ StatusOr<ServiceDelta> DecodeServiceDelta(std::string_view encoded) {
       return Status::Corruption("delta: truncated shard clock");
     }
     MICROPROV_RETURN_IF_ERROR(DecodeEngineDelta(&body, &shard.delta));
+    shard.delta.buffers.push_back(buffer);
     delta.shards.push_back(std::move(shard));
   }
   if (!body.empty()) {

@@ -64,17 +64,22 @@ struct ServiceSnapshotView {
 /// inherits the pinned bundle wire format unchanged.
 void EncodeEngineState(const EngineStateView& state, std::string* dst);
 
-/// Decodes one EngineState from the front of *input.
+/// Decodes one EngineState from the front of *input. Every bundle record
+/// passes DecodeBundle's checks, but stays encoded: the state's records
+/// point into *input's bytes, which the caller keeps alive or hands to
+/// `state->buffers`. Each count read off the input is checked against
+/// the bytes left before anything is reserved for it.
 Status DecodeEngineState(std::string_view* input, EngineState* state);
 
 /// Serializes a full checkpoint image: magic + version header, the
 /// shard states, and a masked crc32c trailer covering everything before
 /// it. A snapshot that fails the CRC (torn or bit-rotted) is rejected
 /// as a whole — checkpoints are atomic via write-temp-then-rename, so a
-/// valid older snapshot is always the fallback.
+/// valid older snapshot is always the fallback. The decoded snapshot
+/// takes `encoded` over: its shard states' records point into it.
 void EncodeServiceSnapshot(const ServiceSnapshotView& snapshot,
                            std::string* dst);
-StatusOr<ServiceSnapshot> DecodeServiceSnapshot(std::string_view encoded);
+StatusOr<ServiceSnapshot> DecodeServiceSnapshot(std::string encoded);
 
 /// One shard's slice of an incremental checkpoint: the clock watermark
 /// at the delta barrier plus the engine's changes since the previous
@@ -127,7 +132,8 @@ struct ServiceDeltaView {
 
 /// Appends the binary encoding of `delta` to *dst (exposed so the
 /// format tests can pin it; the service-level framing below is what the
-/// checkpoint files use).
+/// checkpoint files use). The decoder checks and borrows like
+/// DecodeEngineState.
 void EncodeEngineDelta(const EngineDeltaView& delta, std::string* dst);
 Status DecodeEngineDelta(std::string_view* input, EngineDelta* delta);
 
@@ -137,8 +143,9 @@ Status DecodeEngineDelta(std::string_view* input, EngineDelta* delta);
 /// failing its CRC is rejected whole, and recovery falls back to the
 /// valid chain prefix plus WAL replay (WAL segments are only collected
 /// at full-checkpoint installs, so the tail is always still on disk).
+/// The decoded delta takes `encoded` over, as DecodeServiceSnapshot does.
 void EncodeServiceDelta(const ServiceDeltaView& delta, std::string* dst);
-StatusOr<ServiceDelta> DecodeServiceDelta(std::string_view encoded);
+StatusOr<ServiceDelta> DecodeServiceDelta(std::string encoded);
 
 /// Folds `delta` into `snapshot` in place. Fails on shard-count
 /// mismatch or when any shard's term cursor does not line up with the

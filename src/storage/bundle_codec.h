@@ -16,10 +16,18 @@ namespace microprov {
 /// store's log files.
 void EncodeBundle(const Bundle& bundle, std::string* dst);
 
-/// Rebuilds a bundle from EncodeBundle output. Indicant summaries and time
-/// ranges are reconstructed by replaying AddMessage, so a decoded bundle is
-/// behaviorally identical to the original.
-StatusOr<std::unique_ptr<Bundle>> DecodeBundle(std::string_view encoded);
+/// Rebuilds a bundle from EncodeBundle output, interning against `dict`
+/// (nullptr for a private dictionary; a shared one must outlive the
+/// bundle). Indicant summaries and time ranges are reconstructed by
+/// replaying AddMessage, so a decoded bundle is behaviorally identical
+/// to the original.
+StatusOr<std::unique_ptr<Bundle>> DecodeBundle(
+    std::string_view encoded, IndicantDictionary* dict = nullptr);
+
+/// Runs every check DecodeBundle runs on `encoded` (version, header,
+/// each message, connection type) without building a bundle or copying
+/// a field, and sets *id from the record header.
+Status CheckBundleRecord(std::string_view encoded, BundleId* id);
 
 }  // namespace microprov
 

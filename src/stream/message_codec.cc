@@ -67,16 +67,52 @@ void PutStringVector(std::string* dst, const std::vector<std::string>& v) {
   for (const auto& s : v) PutLengthPrefixed(dst, s);
 }
 
+/// Reads a string list into *v, or only checks it when `v` is null.
 bool GetStringVector(std::string_view* input,
                      std::vector<std::string>* v) {
   uint32_t n = 0;
   if (!GetVarint32(input, &n)) return false;
-  v->clear();
-  v->reserve(n);
+  // Each element takes at least its one-byte length prefix: a larger
+  // count is corrupt, and checking it first bounds the reserve.
+  if (n > input->size()) return false;
+  if (v != nullptr) {
+    v->clear();
+    v->reserve(n);
+  }
   for (uint32_t i = 0; i < n; ++i) {
     std::string_view piece;
     if (!GetLengthPrefixed(input, &piece)) return false;
-    v->emplace_back(piece);
+    if (v != nullptr) v->emplace_back(piece);
+  }
+  return true;
+}
+
+/// The binary layout, parsed once for DecodeMessageBinary and
+/// SkipMessageBinary: with a null `msg` every field is still read and
+/// checked, and nothing is copied.
+bool ParseMessageBinary(std::string_view* input, Message* msg) {
+  int64_t id = 0;
+  int64_t date = 0;
+  int64_t retweet_of_id = 0;
+  std::string_view user, text, rt_user;
+  uint32_t is_rt = 0;
+  if (!GetVarsint64(input, &id) || !GetVarsint64(input, &date) ||
+      !GetLengthPrefixed(input, &user) || !GetLengthPrefixed(input, &text) ||
+      !GetStringVector(input, msg ? &msg->hashtags : nullptr) ||
+      !GetStringVector(input, msg ? &msg->urls : nullptr) ||
+      !GetStringVector(input, msg ? &msg->keywords : nullptr) ||
+      !GetVarint32(input, &is_rt) || !GetLengthPrefixed(input, &rt_user) ||
+      !GetVarsint64(input, &retweet_of_id)) {
+    return false;
+  }
+  if (msg != nullptr) {
+    msg->id = id;
+    msg->date = date;
+    msg->user = std::string(user);
+    msg->text = std::string(text);
+    msg->is_retweet = is_rt != 0;
+    msg->retweet_of_user = std::string(rt_user);
+    msg->retweet_of_id = retweet_of_id;
   }
   return true;
 }
@@ -132,21 +168,16 @@ void EncodeMessageBinary(const Message& msg, std::string* dst) {
 
 Status DecodeMessageBinary(std::string_view* input, Message* msg) {
   *msg = Message();
-  std::string_view user, text, rt_user;
-  uint32_t is_rt = 0;
-  if (!GetVarsint64(input, &msg->id) || !GetVarsint64(input, &msg->date) ||
-      !GetLengthPrefixed(input, &user) || !GetLengthPrefixed(input, &text) ||
-      !GetStringVector(input, &msg->hashtags) ||
-      !GetStringVector(input, &msg->urls) ||
-      !GetStringVector(input, &msg->keywords) ||
-      !GetVarint32(input, &is_rt) || !GetLengthPrefixed(input, &rt_user) ||
-      !GetVarsint64(input, &msg->retweet_of_id)) {
+  if (!ParseMessageBinary(input, msg)) {
     return Status::Corruption("truncated binary message");
   }
-  msg->user = std::string(user);
-  msg->text = std::string(text);
-  msg->is_retweet = is_rt != 0;
-  msg->retweet_of_user = std::string(rt_user);
+  return Status::OK();
+}
+
+Status SkipMessageBinary(std::string_view* input) {
+  if (!ParseMessageBinary(input, nullptr)) {
+    return Status::Corruption("truncated binary message");
+  }
   return Status::OK();
 }
 

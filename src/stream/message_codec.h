@@ -30,6 +30,10 @@ void EncodeMessageBinary(const Message& msg, std::string* dst);
 /// Decodes one binary message from the front of `*input`.
 Status DecodeMessageBinary(std::string_view* input, Message* msg);
 
+/// Consumes one binary message from the front of `*input`, failing
+/// exactly where DecodeMessageBinary would, without copying any field.
+Status SkipMessageBinary(std::string_view* input);
+
 }  // namespace microprov
 
 #endif  // MICROPROV_STREAM_MESSAGE_CODEC_H_

@@ -13,6 +13,8 @@
 #include "core/engine_state.h"
 #include "recovery/snapshot.h"
 #include "recovery/wal.h"
+#include "storage/bundle_codec.h"
+#include "testing/clone_reference.h"
 #include "testing/test_util.h"
 
 namespace microprov {
@@ -70,7 +72,7 @@ EngineState HandcraftedState() {
   state.terms[static_cast<size_t>(IndicantType::kHashtag)] = {"redsox"};
   state.terms[static_cast<size_t>(IndicantType::kKeyword)] = {"beat",
                                                               "yanke"};
-  state.bundles.push_back(HandcraftedBundle());
+  testing_util::AppendRecord(*HandcraftedBundle(), &state);
   return state;
 }
 
@@ -97,8 +99,10 @@ TEST(GoldenRecoveryFormatTest, EngineStateBytesUnchanged) {
   EXPECT_EQ(decoded.messages_ingested, 2u);
   EXPECT_EQ(decoded.next_bundle_id, 43u);
   ASSERT_EQ(decoded.bundles.size(), 1u);
-  EXPECT_EQ(decoded.bundles[0]->id(), 42u);
-  EXPECT_EQ(decoded.bundles[0]->size(), 2u);
+  EXPECT_EQ(decoded.bundles[0].id, 42u);
+  auto bundle_or = DecodeBundle(decoded.bundles[0].bytes);
+  ASSERT_TRUE(bundle_or.ok());
+  EXPECT_EQ((*bundle_or)->size(), 2u);
 }
 
 TEST(GoldenRecoveryFormatTest, ServiceSnapshotBytesUnchanged) {
@@ -210,7 +214,7 @@ TEST(GoldenRecoveryFormatTest, ServiceDeltaBytesUnchanged) {
   shard.delta.new_terms[static_cast<size_t>(IndicantType::kUser)] = {
       "carol"};
   shard.delta.removed = {7};
-  shard.delta.bundles.push_back(HandcraftedBundle());
+  testing_util::AppendRecord(*HandcraftedBundle(), &shard.delta);
   delta.shards.push_back(std::move(shard));
 
   std::string encoded;
@@ -258,7 +262,7 @@ TEST(GoldenRecoveryFormatTest, ServiceDeltaBytesUnchanged) {
   EXPECT_EQ(state.terms[static_cast<size_t>(IndicantType::kUser)][1],
             "carol");
   ASSERT_EQ(state.bundles.size(), 1u);
-  EXPECT_EQ(state.bundles[0]->id(), 42u);
+  EXPECT_EQ(state.bundles[0].id, 42u);
 }
 
 }  // namespace

@@ -6,15 +6,20 @@
 #include <vector>
 
 #include "common/clock.h"
+#include "common/coding.h"
+#include "common/crc32c.h"
 #include "core/engine.h"
 #include "gen/generator.h"
 #include "storage/bundle_codec.h"
 #include "testing/alloc_counter.h"
+#include "testing/clone_reference.h"
 #include "testing/test_util.h"
 
 namespace microprov {
 namespace {
 
+using testing_util::AppendRecord;
+using testing_util::CloneBundle;
 using testing_util::kTestEpoch;
 using testing_util::MakeMessage;
 using testing_util::MakeRetweet;
@@ -46,14 +51,16 @@ void IngestAll(ProvenanceEngine* engine, SimulatedClock* clock,
   }
 }
 
-/// What recovery imports: the engine's checkpoint encoding, decoded.
+/// What recovery imports: the engine's checkpoint encoding, decoded
+/// into a state that owns the encoded bytes.
 EngineState Recovered(const ProvenanceEngine& engine) {
-  std::string encoded;
-  recovery::EncodeEngineState(engine.ExportState(), &encoded);
-  std::string_view input(encoded);
+  auto encoded = std::make_shared<std::string>();
+  recovery::EncodeEngineState(engine.ExportState(), encoded.get());
+  std::string_view input(*encoded);
   EngineState state;
   EXPECT_TRUE(recovery::DecodeEngineState(&input, &state).ok());
   EXPECT_TRUE(input.empty());
+  state.buffers.push_back(std::move(encoded));
   return state;
 }
 
@@ -88,8 +95,8 @@ void ExpectEnginesEqual(const ProvenanceEngine& a,
   }
 }
 
-/// Reference for the checkpoint capture: an owning state holding a
-/// clone of every live bundle.
+/// Reference for the checkpoint capture: an owning state holding the
+/// record of a clone of every live bundle.
 EngineState CloneReference(const ProvenanceEngine& engine) {
   EngineState state;
   state.messages_ingested = engine.messages_ingested();
@@ -102,11 +109,15 @@ EngineState CloneReference(const ProvenanceEngine& engine) {
       state.terms[t].push_back(engine.dictionary().Resolve(type, id));
     }
   }
+  std::vector<std::unique_ptr<Bundle>> clones;
   for (const auto& [id, bundle] : engine.pool().bundles()) {
-    state.bundles.push_back(CloneBundle(*bundle, nullptr));
+    clones.push_back(CloneBundle(*bundle, nullptr));
   }
-  std::sort(state.bundles.begin(), state.bundles.end(),
+  std::sort(clones.begin(), clones.end(),
             [](const auto& a, const auto& b) { return a->id() < b->id(); });
+  for (const std::unique_ptr<Bundle>& clone : clones) {
+    AppendRecord(*clone, &state);
+  }
   return state;
 }
 
@@ -123,7 +134,7 @@ EngineDelta CloneReference(const EngineDeltaView& view) {
   }
   delta.removed = view.removed;
   for (const Bundle* bundle : view.bundles) {
-    delta.bundles.push_back(CloneBundle(*bundle, nullptr));
+    AppendRecord(*CloneBundle(*bundle, nullptr), &delta);
   }
   return delta;
 }
@@ -239,13 +250,14 @@ TEST(EngineStateTest, CaptureEncodesLikeCloneReference) {
                                    messages.begin() + 300 * (step + 1)));
     EngineDeltaView delta = engine.ExportDelta();
     removed += delta.removed.size();
-    const std::string encoded = EncodedDelta(delta);
-    EXPECT_EQ(encoded, EncodedDelta(CloneReference(delta)))
+    auto encoded = std::make_shared<std::string>(EncodedDelta(delta));
+    EXPECT_EQ(*encoded, EncodedDelta(CloneReference(delta)))
         << "delta " << step;
     // The chain resolves to what a clone of the whole engine encodes.
-    std::string_view input(encoded);
+    std::string_view input(*encoded);
     EngineDelta decoded;
     ASSERT_TRUE(recovery::DecodeEngineDelta(&input, &decoded).ok());
+    decoded.buffers.push_back(std::move(encoded));
     ASSERT_TRUE(ApplyEngineDelta(&chain, std::move(decoded)).ok());
     EXPECT_EQ(EncodedState(chain), EncodedState(CloneReference(engine)))
         << "chain after delta " << step;
@@ -284,6 +296,77 @@ TEST(EngineStateTest, CaptureAllocationsDoNotGrowWithMessages) {
   const uint64_t large = capture_allocations(1000);
   EXPECT_EQ(small, large);
   EXPECT_LE(large, 8u);
+}
+
+TEST(EngineStateTest, ChainRecoveryDecodesEachSurvivorOnce) {
+  // Base + 6 deltas that each rewrite every bundle resolve to the same
+  // survivors as base + 1. Resolution works on the encoded records and
+  // import decodes each survivor once, so the longer chain costs only
+  // a fixed number of allocations per extra file, whatever the number
+  // of bundles it rewrites.
+  auto messages = GeneratedStream(19, 600);
+  SimulatedClock clock;
+  ProvenanceEngine source(DeterministicOptions(), &clock, nullptr);
+  IngestAll(&source, &clock,
+            std::vector<Message>(messages.begin(), messages.begin() + 400));
+  const EngineStateView live = source.ExportState();
+  const std::string base = EncodedState(live);
+  EngineDeltaView rewrite_all;
+  rewrite_all.messages_ingested = live.messages_ingested;
+  rewrite_all.next_bundle_id = live.next_bundle_id;
+  rewrite_all.pool_stats = live.pool_stats;
+  for (int t = 0; t < kNumIndicantTypes; ++t) {
+    rewrite_all.base_terms[t] = static_cast<uint32_t>(live.terms[t].size());
+  }
+  rewrite_all.bundles = live.bundles;
+  const std::string delta = EncodedDelta(rewrite_all);
+  const size_t survivors = live.bundles.size();
+  ASSERT_GE(survivors, 50u);
+  auto recover = [&](int deltas, ProvenanceEngine* engine) {
+    const uint64_t before = testing_util::AllocationCount();
+    std::string_view input(base);
+    EngineState state;
+    EXPECT_TRUE(recovery::DecodeEngineState(&input, &state).ok());
+    for (int i = 0; i < deltas; ++i) {
+      std::string_view delta_input(delta);
+      EngineDelta decoded;
+      EXPECT_TRUE(recovery::DecodeEngineDelta(&delta_input, &decoded).ok());
+      EXPECT_TRUE(ApplyEngineDelta(&state, std::move(decoded)).ok());
+    }
+    EXPECT_EQ(state.bundles.size(), survivors);
+    EXPECT_TRUE(engine->ImportState(state).ok());
+    return testing_util::AllocationCount() - before;
+  };
+  SimulatedClock short_clock;
+  short_clock.Set(clock.Now());
+  ProvenanceEngine short_chain(DeterministicOptions(), &short_clock, nullptr);
+  SimulatedClock long_clock;
+  long_clock.Set(clock.Now());
+  ProvenanceEngine long_chain(DeterministicOptions(), &long_clock, nullptr);
+  const uint64_t one = recover(1, &short_chain);
+  const uint64_t six = recover(6, &long_chain);
+  // Per extra file: its record vector and the merged one. Decoding the
+  // records a later file supersedes would cost at least one allocation
+  // per record per file.
+  constexpr uint64_t kPerFile = 4;
+  EXPECT_LE(six, one + 5 * kPerFile) << "one delta: " << one;
+  EXPECT_GE(six, one);
+
+  ExpectEnginesEqual(source, short_chain);
+  ExpectEnginesEqual(source, long_chain);
+  for (size_t i = 400; i < messages.size(); ++i) {
+    clock.Advance(messages[i].date);
+    long_clock.Advance(messages[i].date);
+    auto ra = source.Ingest(messages[i]);
+    auto rb = long_chain.Ingest(messages[i]);
+    ASSERT_TRUE(ra.ok());
+    ASSERT_TRUE(rb.ok());
+    EXPECT_EQ(ra->bundle, rb->bundle) << "message " << messages[i].id;
+    EXPECT_EQ(ra->created_bundle, rb->created_bundle);
+    EXPECT_EQ(ra->parent, rb->parent);
+    EXPECT_EQ(ra->connection, rb->connection);
+  }
+  ExpectEnginesEqual(source, long_chain);
 }
 
 recovery::ServiceSnapshot MakeSnapshot() {
@@ -340,12 +423,67 @@ TEST(ServiceSnapshotTest, RejectsCorruptionAnywhere) {
   }
   // Truncation (torn write) and trailing garbage.
   EXPECT_FALSE(
-      recovery::DecodeServiceSnapshot(
-          std::string_view(encoded).substr(0, encoded.size() - 5))
+      recovery::DecodeServiceSnapshot(encoded.substr(0, encoded.size() - 5))
           .ok());
   EXPECT_FALSE(recovery::DecodeServiceSnapshot(encoded + "x").ok());
   EXPECT_FALSE(recovery::DecodeServiceSnapshot("").ok());
   EXPECT_FALSE(recovery::DecodeServiceSnapshot("abc").ok());
+}
+
+/// `image` (an encoded snapshot or delta) with the one-byte varint at
+/// `pos` replaced by a count of 2^32-1 and the CRC trailer recomputed.
+std::string WithHugeCount(const std::string& image, size_t pos) {
+  std::string body = image.substr(0, image.size() - 4);
+  EXPECT_LT(static_cast<unsigned char>(body[pos]), 0x80u) << pos;
+  std::string count;
+  PutVarint32(&count, UINT32_MAX);
+  body.replace(pos, 1, count);
+  PutFixed32(&body, crc32c::Mask(crc32c::Value(body)));
+  return body;
+}
+
+TEST(ServiceSnapshotTest, HugeCountsBehindValidCrcAreCorruption) {
+  // Every count the decoders read off the input (shards, terms, removed
+  // ids, bundles) is checked against the bytes left before anything is
+  // reserved for it, so a CRC-valid image with a count of 2^32-1 fails
+  // with Corruption after a few small allocations.
+  recovery::ServiceSnapshot snapshot;
+  snapshot.num_shards = 1;
+  snapshot.shards.emplace_back();
+  std::string base;
+  recovery::EncodeServiceSnapshot(snapshot, &base);
+  recovery::ServiceDelta delta;
+  delta.num_shards = 1;
+  delta.shards.emplace_back();
+  std::string chained;
+  recovery::EncodeServiceDelta(delta, &chained);
+  // Empty one-shard images. A snapshot body ends with four term counts
+  // and the bundle count; a delta body with four (cursor, term count)
+  // pairs, the removal count and the bundle count.
+  const size_t base_body = base.size() - 4;
+  const size_t delta_body = chained.size() - 4;
+  const std::vector<size_t> base_counts = {
+      5, base_body - 5, base_body - 4, base_body - 3, base_body - 2,
+      base_body - 1};
+  const std::vector<size_t> delta_counts = {
+      6, delta_body - 9, delta_body - 7, delta_body - 5, delta_body - 3,
+      delta_body - 2, delta_body - 1};
+  for (size_t pos : base_counts) {
+    const std::string hostile = WithHugeCount(base, pos);
+    const uint64_t before = testing_util::AllocationCount();
+    auto decoded_or = recovery::DecodeServiceSnapshot(hostile);
+    const uint64_t allocations = testing_util::AllocationCount() - before;
+    EXPECT_TRUE(decoded_or.status().IsCorruption()) << "snapshot @" << pos;
+    EXPECT_LE(allocations, 8u) << "snapshot @" << pos;
+  }
+  for (size_t pos : delta_counts) {
+    const std::string hostile = WithHugeCount(chained, pos);
+    const uint64_t before = testing_util::AllocationCount();
+    auto decoded_or = recovery::DecodeServiceDelta(hostile);
+    const uint64_t allocations = testing_util::AllocationCount() - before;
+    EXPECT_TRUE(decoded_or.status().IsCorruption()) << "delta @" << pos;
+    EXPECT_LE(allocations, 8u) << "delta @" << pos;
+  }
 }
 
 TEST(ServiceSnapshotTest, CaptureEncodesLikeCloneReference) {
