@@ -232,14 +232,23 @@ std::vector<BundleSearchResult> BundleQueryProcessor::SearchParsed(
   if (archive_ != nullptr && filters.include_archived) {
     std::vector<BundleId>& archived_ids = scratch.archived_ids;
     archived_ids.clear();
-    auto collect = [&](const std::string& term) {
-      for (BundleId id : archive_->FindByTerm(term)) {
+    auto collect = [&](IndicantType type, const std::string& term) {
+      for (BundleId id : archive_->FindByTerm(type, term)) {
         if (!acc.Contains(id)) archived_ids.push_back(id);
       }
     };
-    for (const std::string& term : parsed.keywords) collect(term);
-    for (const std::string& word : parsed.raw_words) collect(word);
-    for (const std::string& tag : parsed.hashtags) collect(tag);
+    // The ranker's matching rule: a stemmed word hits keywords and
+    // hashtags, a raw word hashtags, a `#tag` hashtags only.
+    for (const std::string& term : parsed.keywords) {
+      collect(IndicantType::kKeyword, term);
+      collect(IndicantType::kHashtag, term);
+    }
+    for (const std::string& word : parsed.raw_words) {
+      collect(IndicantType::kHashtag, word);
+    }
+    for (const std::string& tag : parsed.hashtags) {
+      collect(IndicantType::kHashtag, tag);
+    }
     // Ascending-id order makes which ids fall under the decode cap
     // deterministic (the unordered_set this replaces was not).
     std::sort(archived_ids.begin(), archived_ids.end());

@@ -223,26 +223,28 @@ void BundleStore::BindMetrics(obs::MetricsRegistry* registry,
 
 void BundleStore::IndexBundleTerms(const Bundle& bundle) {
   if (!options_.enable_term_index) return;
-  auto add = [&](const std::string& term) {
-    std::vector<BundleId>& postings = term_index_[term];
+  auto add = [&](IndicantType type, const std::string& term) {
+    std::vector<BundleId>& postings =
+        term_index_[static_cast<size_t>(type)][term];
     if (postings.empty() || postings.back() != bundle.id()) {
       postings.push_back(bundle.id());
     }
   };
   for (const auto& [tag, count] :
        bundle.ResolvedCounts(IndicantType::kHashtag)) {
-    add(tag);
+    add(IndicantType::kHashtag, tag);
   }
   for (const auto& [word, count] :
        bundle.TopKeywords(options_.index_keywords_per_bundle)) {
-    add(word);
+    add(IndicantType::kKeyword, word);
   }
 }
 
 std::vector<BundleId> BundleStore::FindByTerm(
-    const std::string& term) const {
-  auto it = term_index_.find(term);
-  if (it == term_index_.end()) return {};
+    IndicantType type, const std::string& term) const {
+  const auto& index = term_index_[static_cast<size_t>(type)];
+  auto it = index.find(term);
+  if (it == index.end()) return {};
   // Dedup (re-puts may append the same id twice, non-adjacently).
   std::vector<BundleId> out = it->second;
   std::sort(out.begin(), out.end());

@@ -33,9 +33,9 @@ class BundleStore final : public BundleArchive {
     size_t cache_entries = 256;
     /// fsync after every Put (durability vs. throughput).
     bool sync_on_put = false;
-    /// Maintain an in-memory term index (hashtags + top keywords ->
-    /// bundle ids) so queries can reach archived bundles. Rebuilt on
-    /// recovery.
+    /// Maintain an in-memory term index ((type, term) -> bundle ids,
+    /// for hashtags and top keywords) so queries can reach archived
+    /// bundles. Rebuilt on recovery.
     bool enable_term_index = true;
     /// Top keywords per bundle fed into the term index.
     size_t index_keywords_per_bundle = 10;
@@ -60,9 +60,11 @@ class BundleStore final : public BundleArchive {
   /// All stored bundle ids (unordered).
   std::vector<BundleId> ListBundleIds() const;
 
-  /// Archived bundles whose hashtags or top keywords contain `term`
-  /// (deduplicated). Empty when the term index is disabled.
-  std::vector<BundleId> FindByTerm(const std::string& term) const;
+  /// Archived bundles that carry `term` as an indicant of `type`: a
+  /// hashtag, or one of their top keywords (ascending, deduplicated).
+  /// Empty for other types, or when the term index is disabled.
+  std::vector<BundleId> FindByTerm(IndicantType type,
+                                   const std::string& term) const;
 
   /// Visits every stored bundle (decoded); stops on callback error.
   Status Scan(
@@ -120,7 +122,10 @@ class BundleStore final : public BundleArchive {
   std::vector<uint32_t> unsynced_files_;
   BundleId max_bundle_id_ = 0;
   LruCache<BundleId, std::shared_ptr<const Bundle>> cache_;
-  std::unordered_map<std::string, std::vector<BundleId>> term_index_;
+  /// Per IndicantType, like the live summary index: a `#tag` query must
+  /// not reach a bundle that carries the word only as a keyword.
+  std::unordered_map<std::string, std::vector<BundleId>>
+      term_index_[kNumIndicantTypes];
   uint64_t puts_ = 0;
   uint64_t compactions_ = 0;
 

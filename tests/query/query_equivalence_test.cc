@@ -103,14 +103,21 @@ std::vector<BundleSearchResult> ReferenceSearch(
   }
   if (archive != nullptr && filters.include_archived) {
     std::set<BundleId> archived_ids;
-    auto collect = [&](const std::string& term) {
-      for (BundleId id : archive->FindByTerm(term)) {
+    auto collect = [&](IndicantType type, const std::string& term) {
+      for (BundleId id : archive->FindByTerm(type, term)) {
         if (candidates.count(id) == 0) archived_ids.insert(id);
       }
     };
-    for (const std::string& term : parsed.keywords) collect(term);
-    for (const std::string& word : parsed.raw_words) collect(word);
-    for (const std::string& tag : parsed.hashtags) collect(tag);
+    for (const std::string& term : parsed.keywords) {
+      collect(IndicantType::kKeyword, term);
+      collect(IndicantType::kHashtag, term);
+    }
+    for (const std::string& word : parsed.raw_words) {
+      collect(IndicantType::kHashtag, word);
+    }
+    for (const std::string& tag : parsed.hashtags) {
+      collect(IndicantType::kHashtag, tag);
+    }
     size_t considered = 0;
     for (BundleId id : archived_ids) {
       if (considered++ >= BundleQueryProcessor::kMaxArchivedCandidates) {

@@ -217,6 +217,33 @@ TEST_F(BundleQueryTest, ArchiveCanBeExcludedByFilter) {
           {.text = "#vault", .k = 5, .now = kTestEpoch, .filters = live_only}).empty());
 }
 
+TEST_F(BundleQueryTest, ArchivedLookupMatchesTermsByType) {
+  // Bundle 801 says "flood" only as a keyword, 802 as a hashtag. A
+  // `#flood` query reaches 802 alone; the plain word reaches both, as
+  // the ranker matches a word against keywords and hashtags.
+  testing_util::ScopedTempDir dir;
+  BundleStore::Options store_options;
+  store_options.dir = dir.path() + "/store";
+  auto store_or = BundleStore::Open(store_options);
+  ASSERT_TRUE(store_or.ok());
+  Bundle worded(801);
+  worded.AddMessage(TextMessage(60, kTestEpoch, "bob", "river flood warning"),
+                    kInvalidMessageId, ConnectionType::kText, 0);
+  Bundle tagged(802);
+  tagged.AddMessage(TextMessage(61, kTestEpoch, "carol", "stay dry #flood"),
+                    kInvalidMessageId, ConnectionType::kText, 0);
+  ASSERT_TRUE((*store_or)->Put(worded).ok());
+  ASSERT_TRUE((*store_or)->Put(tagged).ok());
+
+  BundleQueryProcessor processor(&engine_, QueryWeights{},
+                                 store_or->get());
+  auto by_tag = processor.Search({.text = "#flood", .k = 5, .now = kTestEpoch});
+  ASSERT_EQ(by_tag.size(), 1u);
+  EXPECT_EQ(by_tag[0].bundle, 802u);
+  auto by_word = processor.Search({.text = "flood", .k = 5, .now = kTestEpoch});
+  EXPECT_EQ(by_word.size(), 2u);
+}
+
 TEST_F(BundleQueryTest, FreshBundleRankedAboveStaleOnTie) {
   Feed(1, kTestEpoch, "a", "game one #early");
   Feed(2, kTestEpoch + 20 * kSecondsPerDay, "b", "game two #late");
