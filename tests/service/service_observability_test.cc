@@ -404,6 +404,48 @@ TEST(ServiceObservabilityTest, HealthzReports503OnStalledWorker) {
   EXPECT_EQ(service.HandleHttp("/healthz", "").status, 200);
 }
 
+/// The `"health":…,"reason":"…"` head of each /statusz shard entry.
+std::vector<std::string> StatuszReasons(const Service& service) {
+  const std::string body = service.HandleHttp("/statusz", "").body;
+  std::vector<std::string> out;
+  for (size_t pos = body.find("\"health\":"); pos != std::string::npos;
+       pos = body.find("\"health\":", pos + 1)) {
+    out.push_back(body.substr(pos, body.find(",\"ingest_rate\"", pos) - pos));
+  }
+  return out;
+}
+
+TEST(ServiceObservabilityTest, GoldenStatuszReasonField) {
+  Blocker blocker;
+  ServiceOptions options;
+  options.num_shards = 1;
+  options.queue_capacity = 4;
+  options.health.stall_nanos = 3'600'000'000'000;  // never stalls here
+  options.engine.ingest_fault_for_test = [&blocker](const Message&) {
+    blocker.BlockOnce();
+    return Status::OK();
+  };
+  auto service_or = Service::Open(options);
+  ASSERT_TRUE(service_or.ok());
+  Service& service = **service_or;
+  EXPECT_EQ(StatuszReasons(service),
+            std::vector<std::string>{R"("health":"ok","reason":"")"});
+
+  // A frozen worker holding four accepted messages: the shard reads
+  // degraded, and the reason names the backlog.
+  std::vector<Message> messages = TopicStream();
+  ASSERT_TRUE(service.Ingest(messages[0]).ok());
+  blocker.WaitUntilBlocked();
+  for (size_t i = 1; i < messages.size(); ++i) {
+    ASSERT_TRUE(service.Ingest(messages[i]).ok());
+  }
+  EXPECT_EQ(StatuszReasons(service),
+            std::vector<std::string>{
+                R"("health":"degraded","reason":"queue depth 4 of 4")"});
+  blocker.Release();
+  ASSERT_TRUE(service.Flush().ok());
+}
+
 TEST(ServiceObservabilityTest, HealthzReports503OnStalledWalFlusher) {
   ScopedTempDir dir;
   Blocker blocker;
