@@ -5,7 +5,6 @@
 
 #include "core/engine.h"
 #include "gen/generator.h"
-#include "index/segment.h"
 #include "query/query_processor.h"
 #include "storage/bundle_store.h"
 #include "stream/replay.h"
@@ -162,47 +161,6 @@ TEST(PersistenceTest, ArchivedBundleRoundTripsExactly) {
     EXPECT_EQ(loaded.messages()[i].msg, live->messages()[i].msg);
     EXPECT_EQ(loaded.messages()[i].parent, live->messages()[i].parent);
   }
-}
-
-TEST(PersistenceTest, MessageIndexSegmentServesSearchAfterReload) {
-  ScopedTempDir dir;
-  auto messages = Dataset(3000);
-  // Build the flat message-search index and flush it as a segment.
-  MemoryIndex index;
-  DocStore docs;
-  for (const Message& msg : messages) {
-    std::vector<std::string> tokens = msg.keywords;
-    tokens.insert(tokens.end(), msg.hashtags.begin(), msg.hashtags.end());
-    index.AddDocument(tokens);
-    docs.Add(msg.id, msg.text);
-  }
-  const std::string path = dir.path() + "/messages.seg";
-  ASSERT_TRUE(WriteSegment(index, docs, path).ok());
-
-  auto reader_or = SegmentReader::Open(path);
-  ASSERT_TRUE(reader_or.ok());
-  auto& segment = *reader_or;
-  EXPECT_EQ(segment->num_docs(), messages.size());
-  // Pick a hashtag that exists in the dataset and verify postings agree
-  // between the live index and the reloaded segment.
-  std::string probe_tag;
-  for (const Message& msg : messages) {
-    if (!msg.hashtags.empty()) {
-      probe_tag = msg.hashtags[0];
-      break;
-    }
-  }
-  ASSERT_FALSE(probe_tag.empty());
-  EXPECT_EQ(segment->DocFreq(probe_tag), index.DocFreq(probe_tag));
-  auto live_it = index.Postings(probe_tag);
-  auto seg_it = segment->Postings(probe_tag);
-  while (live_it.Valid() && seg_it.Valid()) {
-    EXPECT_EQ(live_it.posting().doc, seg_it.posting().doc);
-    EXPECT_EQ(live_it.posting().tf, seg_it.posting().tf);
-    live_it.Next();
-    seg_it.Next();
-  }
-  EXPECT_EQ(live_it.Valid(), seg_it.Valid());
 }
 
 }  // namespace

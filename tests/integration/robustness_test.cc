@@ -5,9 +5,7 @@
 
 #include <gtest/gtest.h>
 
-#include "common/env.h"
 #include "common/random.h"
-#include "index/segment.h"
 #include "storage/bundle_codec.h"
 #include "stream/message_codec.h"
 #include "text/tweet_parser.h"
@@ -96,22 +94,6 @@ TEST(RobustnessTest, MessageTsvDecoderSurvivesGarbageLines) {
     }
     Status st = DecodeMessageTsv(garbage, &msg);
     (void)st;
-  }
-}
-
-TEST(RobustnessTest, SegmentReaderSurvivesGarbageFiles) {
-  testing_util::ScopedTempDir dir;
-  Random rng(505);
-  for (int i = 0; i < 50; ++i) {
-    const std::string path =
-        dir.path() + "/garbage" + std::to_string(i);
-    ASSERT_TRUE(Env::Default()
-                    ->WriteStringToFile(path,
-                                        RandomBytes(&rng,
-                                                    rng.Uniform(4000)))
-                    .ok());
-    auto reader = SegmentReader::Open(path);
-    EXPECT_FALSE(reader.ok());  // CRC rejects garbage
   }
 }
 
