@@ -28,12 +28,13 @@ echo "=== tier 1: TSan build + concurrency tests ==="
 # die_after_fork=0 — hence the separate invocation. The observability
 # suites ride along: Span* (concurrent shard spans into one recorder),
 # HttpExporter* (accept-loop thread vs Stop vs concurrent clients),
-# QueryTrace*/ShardLoad* (scrape-path reads against hot-path writes),
-# and ServiceObservability* (HTTP scrapes racing live ingest plus the
-# frozen-worker/frozen-flusher health verdicts). QueryConcurrency*
-# covers the query path: concurrent searches sharing one processor
-# (thread-local scratch), and Service queries on the shard workers
-# racing live ingest, Flush and Checkpoint.
+# TraceSink* (four writers and a scraping reader on one shared trace
+# ring), QueryTrace*/ShardLoad* (the query trace's routing and the
+# health verdicts, single-threaded), and ServiceObservability* (HTTP
+# scrapes racing live ingest plus the frozen-worker/frozen-flusher
+# health verdicts). QueryConcurrency* covers the query path: concurrent
+# searches sharing one processor (thread-local scratch), and Service
+# queries on the shard workers racing live ingest, Flush and Checkpoint.
 cmake -B build-tsan -S . -DMICROPROV_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j "$JOBS" --target microprov_tests
 ./build-tsan/tests/microprov_tests \

@@ -1,6 +1,7 @@
 #include "obs/metrics.h"
 
 #include "common/string_util.h"
+#include "obs/jsonl.h"
 
 namespace microprov {
 namespace obs {
@@ -17,24 +18,6 @@ std::string_view KindName(MetricKind kind) {
       return "summary";
   }
   return "?";
-}
-
-void AppendEscapedJson(std::string* out, std::string_view s) {
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      default:
-        *out += c;
-    }
-  }
 }
 
 /// Prometheus HELP text escaping: the exposition format requires `\\`
@@ -207,9 +190,9 @@ std::string MetricsRegistry::Json() const {
     if (!first) out += ',';
     first = false;
     out += "{\"name\":\"";
-    AppendEscapedJson(&out, snap.name);
+    AppendJsonEscaped(&out, snap.name);
     out += "\",\"labels\":\"";
-    AppendEscapedJson(&out, snap.labels);
+    AppendJsonEscaped(&out, snap.labels);
     StringAppendF(&out, "\",\"type\":\"%s\"",
                   std::string(KindName(snap.kind)).c_str());
     switch (snap.kind) {

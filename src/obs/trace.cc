@@ -1,108 +1,14 @@
 #include "obs/trace.h"
 
-#include <cstdlib>
-
 #include "common/string_util.h"
+#include "obs/jsonl.h"
 
 namespace microprov {
 namespace obs {
 
-namespace {
-
-/// Locates `"key":` in `line` and returns the offset just past the
-/// colon, or npos.
-size_t ValueOffset(std::string_view line, std::string_view key,
-                   size_t from = 0) {
-  std::string needle = "\"" + std::string(key) + "\":";
-  size_t pos = line.find(needle, from);
-  return pos == std::string_view::npos ? pos : pos + needle.size();
-}
-
-bool ParseDouble(std::string_view line, std::string_view key, double* out,
-                 size_t from = 0) {
-  size_t pos = ValueOffset(line, key, from);
-  if (pos == std::string_view::npos) return false;
-  // strtod needs NUL termination; numbers are short, so copy the tail.
-  std::string tail(line.substr(pos, 64));
-  char* end = nullptr;
-  double parsed = std::strtod(tail.c_str(), &end);
-  if (end == tail.c_str()) return false;
-  *out = parsed;
-  return true;
-}
-
-bool ParseInt(std::string_view line, std::string_view key, int64_t* out,
-              size_t from = 0) {
-  size_t pos = ValueOffset(line, key, from);
-  if (pos == std::string_view::npos) return false;
-  std::string tail(line.substr(pos, 32));
-  char* end = nullptr;
-  int64_t parsed = std::strtoll(tail.c_str(), &end, 10);
-  if (end == tail.c_str()) return false;
-  *out = parsed;
-  return true;
-}
-
-bool ParseBool(std::string_view line, std::string_view key, bool* out) {
-  size_t pos = ValueOffset(line, key);
-  if (pos == std::string_view::npos) return false;
-  if (line.substr(pos, 4) == "true") {
-    *out = true;
-    return true;
-  }
-  if (line.substr(pos, 5) == "false") {
-    *out = false;
-    return true;
-  }
-  return false;
-}
-
-}  // namespace
-
-TraceSink::TraceSink(size_t capacity, size_t sample_every)
-    : capacity_(capacity == 0 ? 1 : capacity),
-      sample_every_(sample_every) {}
-
-bool TraceSink::ShouldSample() {
-  if (sample_every_ == 0) return false;
-  if (sample_every_ == 1) return true;
-  uint64_t n = sample_counter_.fetch_add(1, std::memory_order_relaxed);
-  return n % sample_every_ == 0;
-}
-
-void TraceSink::Record(IngestTraceEvent event) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (ring_.size() < capacity_) {
-    ring_.push_back(std::move(event));
-  } else {
-    ring_[next_] = std::move(event);
-    next_ = (next_ + 1) % capacity_;
-  }
-  ++total_;
-}
-
-std::vector<IngestTraceEvent> TraceSink::Snapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<IngestTraceEvent> out;
-  out.reserve(ring_.size());
-  // next_ is the oldest slot once the ring has wrapped.
-  for (size_t i = 0; i < ring_.size(); ++i) {
-    out.push_back(ring_[(next_ + i) % ring_.size()]);
-  }
-  return out;
-}
-
-uint64_t TraceSink::total_recorded() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return total_;
-}
-
-uint64_t TraceSink::dropped() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return total_ > ring_.size() ? total_ - ring_.size() : 0;
-}
-
-std::string TraceSink::EventToJson(const IngestTraceEvent& event) {
+template <>
+std::string TraceRing<IngestTraceEvent>::EventToJson(
+    const IngestTraceEvent& event) {
   std::string out;
   StringAppendF(&out,
                 "{\"msg\":%lld,\"date\":%lld,\"shard\":%u,"
@@ -122,79 +28,39 @@ std::string TraceSink::EventToJson(const IngestTraceEvent& event) {
   return out;
 }
 
-std::string TraceSink::ToJsonl() const {
-  std::string out;
-  for (const IngestTraceEvent& event : Snapshot()) {
-    out += EventToJson(event);
-    out += '\n';
-  }
-  return out;
-}
-
-StatusOr<std::vector<IngestTraceEvent>> TraceSink::FromJsonl(
-    std::string_view text) {
+template <>
+StatusOr<std::vector<IngestTraceEvent>>
+TraceRing<IngestTraceEvent>::FromJsonl(std::string_view text) {
   std::vector<IngestTraceEvent> out;
-  size_t line_no = 0;
-  while (!text.empty()) {
-    size_t nl = text.find('\n');
-    std::string_view line =
-        nl == std::string_view::npos ? text : text.substr(0, nl);
-    text = nl == std::string_view::npos ? std::string_view()
-                                        : text.substr(nl + 1);
-    ++line_no;
-    if (line.empty()) continue;
-
-    IngestTraceEvent event;
-    int64_t shard = 0;
-    int64_t chosen = 0;
-    int64_t connection = 0;
-    if (!ParseInt(line, "msg", &event.message) ||
-        !ParseInt(line, "date", &event.date) ||
-        !ParseInt(line, "shard", &shard) ||
-        !ParseInt(line, "chosen", &chosen) ||
-        !ParseBool(line, "created", &event.created) ||
-        !ParseDouble(line, "score", &event.score) ||
-        !ParseInt(line, "parent", &event.parent) ||
-        !ParseInt(line, "connection", &connection)) {
-      return Status::InvalidArgument(
-          StringPrintf("trace line %zu: missing or malformed field",
-                       line_no));
-    }
-    event.shard = static_cast<uint32_t>(shard);
-    event.chosen = static_cast<uint64_t>(chosen);
-    event.connection = static_cast<int>(connection);
-
-    size_t arr = ValueOffset(line, "candidates");
-    if (arr == std::string_view::npos || arr >= line.size() ||
-        line[arr] != '[') {
-      return Status::InvalidArgument(
-          StringPrintf("trace line %zu: missing candidates array",
-                       line_no));
-    }
-    size_t pos = arr + 1;
-    while (pos < line.size() && line[pos] != ']') {
-      size_t obj = line.find('{', pos);
-      if (obj == std::string_view::npos) break;
-      size_t close = line.find('}', obj);
-      if (close == std::string_view::npos) {
-        return Status::InvalidArgument(
-            StringPrintf("trace line %zu: unterminated candidate",
-                         line_no));
-      }
-      std::string_view body = line.substr(obj, close - obj + 1);
-      TraceCandidate candidate;
-      int64_t bundle = 0;
-      if (!ParseInt(body, "bundle", &bundle) ||
-          !ParseDouble(body, "score", &candidate.score)) {
-        return Status::InvalidArgument(
-            StringPrintf("trace line %zu: malformed candidate", line_no));
-      }
-      candidate.bundle = static_cast<uint64_t>(bundle);
-      event.candidates.push_back(candidate);
-      pos = close + 1;
-    }
-    out.push_back(std::move(event));
-  }
+  Status status = ForEachJsonLine(
+      text, "trace", [&out](const JsonObject& line) -> const char* {
+        IngestTraceEvent event;
+        if (!line.Int("msg", &event.message) ||
+            !line.Int("date", &event.date) ||
+            !line.Int("shard", &event.shard) ||
+            !line.Int("chosen", &event.chosen) ||
+            !line.Bool("created", &event.created) ||
+            !line.Double("score", &event.score) ||
+            !line.Int("parent", &event.parent) ||
+            !line.Int("connection", &event.connection)) {
+          return "missing or malformed field";
+        }
+        std::vector<JsonObject> candidates;
+        if (!line.Objects("candidates", &candidates)) {
+          return "missing candidates array";
+        }
+        for (const JsonObject& body : candidates) {
+          TraceCandidate candidate;
+          if (!body.Int("bundle", &candidate.bundle) ||
+              !body.Double("score", &candidate.score)) {
+            return "malformed candidate";
+          }
+          event.candidates.push_back(candidate);
+        }
+        out.push_back(std::move(event));
+        return nullptr;
+      });
+  if (!status.ok()) return status;
   return out;
 }
 

@@ -1,14 +1,13 @@
 #ifndef MICROPROV_OBS_TRACE_H_
 #define MICROPROV_OBS_TRACE_H_
 
-#include <atomic>
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "common/statusor.h"
+#include "obs/trace_ring.h"
 
 namespace microprov {
 namespace obs {
@@ -40,56 +39,17 @@ struct IngestTraceEvent {
   int connection = 0;
 };
 
-/// Opt-in ingest trace: a fixed-capacity ring buffer of the most recent
-/// IngestTraceEvents, shared by every shard worker (Record is
-/// thread-safe). Dumpable as JSONL for offline debugging of match
+/// Opt-in ingest trace: the most recent IngestTraceEvents, shared by
+/// every shard worker. Dumpable as JSONL for offline debugging of match
 /// quality; FromJsonl round-trips the dump.
-class TraceSink {
- public:
-  /// `sample_every` records 1 in N messages (1 = every message, the
-  /// historical behavior; 0 = never). Sampled-out messages skip event
-  /// assembly entirely — callers gate on ShouldSample() before paying
-  /// the collection cost.
-  explicit TraceSink(size_t capacity, size_t sample_every = 1);
+using TraceSink = TraceRing<IngestTraceEvent>;
 
-  TraceSink(const TraceSink&) = delete;
-  TraceSink& operator=(const TraceSink&) = delete;
-
-  /// Advances the sampling counter and returns whether the caller
-  /// should trace this message. Thread-safe; the 1-in-N cadence is
-  /// global across shards, not per shard.
-  bool ShouldSample();
-
-  void Record(IngestTraceEvent event);
-
-  /// The buffered events, oldest first.
-  std::vector<IngestTraceEvent> Snapshot() const;
-
-  /// One JSON object per line, oldest first.
-  std::string ToJsonl() const;
-
-  /// Parses a ToJsonl dump (blank lines skipped). Fails with
-  /// InvalidArgument on malformed lines.
-  static StatusOr<std::vector<IngestTraceEvent>> FromJsonl(
-      std::string_view text);
-
-  static std::string EventToJson(const IngestTraceEvent& event);
-
-  size_t capacity() const { return capacity_; }
-  size_t sample_every() const { return sample_every_; }
-  /// Events ever recorded / overwritten by ring wrap-around.
-  uint64_t total_recorded() const;
-  uint64_t dropped() const;
-
- private:
-  const size_t capacity_;
-  const size_t sample_every_;
-  std::atomic<uint64_t> sample_counter_{0};
-  mutable std::mutex mu_;
-  std::vector<IngestTraceEvent> ring_;
-  size_t next_ = 0;
-  uint64_t total_ = 0;
-};
+template <>
+std::string TraceRing<IngestTraceEvent>::EventToJson(
+    const IngestTraceEvent& event);
+template <>
+StatusOr<std::vector<IngestTraceEvent>>
+TraceRing<IngestTraceEvent>::FromJsonl(std::string_view text);
 
 }  // namespace obs
 }  // namespace microprov

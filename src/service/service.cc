@@ -7,6 +7,7 @@
 #include "common/clock.h"
 #include "common/env.h"
 #include "common/string_util.h"
+#include "obs/jsonl.h"
 
 namespace microprov {
 
@@ -19,12 +20,9 @@ Service::Service(const ServiceOptions& options)
   }
   if (options_.query_trace_capacity > 0 ||
       options_.slow_query_nanos > 0) {
-    obs::QueryTraceSinkOptions sink_options;
-    sink_options.capacity = options_.query_trace_capacity;
-    sink_options.sample_every = options_.query_trace_sample_every;
-    sink_options.slow_query_nanos = options_.slow_query_nanos;
-    sink_options.slow_capacity = options_.slow_query_capacity;
-    query_trace_ = std::make_unique<obs::QueryTraceSink>(sink_options);
+    query_trace_ = std::make_unique<obs::QueryTraceSink>(
+        options_.query_trace_capacity, options_.query_trace_sample_every,
+        options_.slow_query_nanos);
   }
 }
 
@@ -390,7 +388,7 @@ StatusOr<std::vector<BundleSearchResult>> Service::Search(
       query_trace_ != nullptr && query_trace_->ShouldSample();
   const bool tracing =
       query_trace_ != nullptr &&
-      (sampled || query_trace_->options().slow_query_nanos > 0);
+      (sampled || query_trace_->slow_query_nanos() > 0);
   obs::SpanRecorder recorder;
   obs::SpanRecorder* spans = tracing ? &recorder : nullptr;
   obs::QueryTraceEvent event;

@@ -61,10 +61,9 @@ struct ServiceOptions {
   size_t query_trace_sample_every = 1;
   /// Slow-query log: queries with end-to-end latency over this
   /// threshold are ALWAYS captured with their full span tree (even
-  /// when sampled out), into a separate ring of `slow_query_capacity`.
-  /// 0 disables the slow log.
+  /// when sampled out), into a separate ring of the last
+  /// QueryTraceSink::kSlowCapacity. 0 disables the slow log.
   uint64_t slow_query_nanos = 0;
-  size_t slow_query_capacity = 64;
 
   /// Thresholds behind the per-shard ok/degraded/stalled verdicts.
   obs::ShardHealthOptions health;
