@@ -38,7 +38,7 @@ echo "=== tier 1: TSan build + concurrency tests ==="
 cmake -B build-tsan -S . -DMICROPROV_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j "$JOBS" --target microprov_tests
 ./build-tsan/tests/microprov_tests \
-  --gtest_filter='BoundedSpscQueue*:RouteShard*:ShardedEngine*:Service*:Metrics*:TraceSink*:StatsReporter*:Wal*:EngineStateTest*:ServiceSnapshotTest*:GoldenRecoveryFormatTest*:SlabArena*:PostingArenaAlloc*:Span*:HttpExporter*:QueryTrace*:ShardLoad*:PrometheusLint*:QueryConcurrency*'
+  --gtest_filter='BoundedSpscQueue*:RouteShard*:ShardedEngine*:Service*:Metrics*:TraceSink*:Wal*:EngineStateTest*:ServiceSnapshotTest*:GoldenRecoveryFormatTest*:SlabArena*:PostingArenaAlloc*:Span*:HttpExporter*:QueryTrace*:ShardLoad*:PrometheusLint*:QueryConcurrency*'
 TSAN_OPTIONS=die_after_fork=0 ./build-tsan/tests/microprov_tests \
   --gtest_filter='CrashRecoveryTest*'
 

@@ -12,8 +12,7 @@ QueryPlan::QueryPlan(const ParsedQuery& parsed,
                      const SummaryIndex& index, size_t total_bundles,
                      Timestamp now, const QueryWeights& weights,
                      QueryPlanScratch* scratch)
-    : dict_(&dict),
-      scratch_(scratch),
+    : scratch_(scratch),
       weights_(weights),
       now_(now),
       gamma_(1.0 - weights.alpha_text - weights.beta_indicant),

@@ -77,8 +77,6 @@ class QueryPlan {
   /// heads assume every query term hits (and freshness <= 1).
   double ArchivedUpperBound() const { return archived_bound_; }
 
-  const IndicantDictionary& dictionary() const { return *dict_; }
-
   const std::vector<PlanKeyword>& keywords() const {
     return scratch_->keywords;
   }
@@ -89,7 +87,6 @@ class QueryPlan {
   double TextScore(const Bundle& bundle) const;
   double IndicantScore(const Bundle& bundle) const;
 
-  const IndicantDictionary* dict_;
   QueryPlanScratch* scratch_;
   QueryWeights weights_;
   Timestamp now_ = 0;

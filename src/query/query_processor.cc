@@ -201,24 +201,17 @@ std::vector<BundleSearchResult> BundleQueryProcessor::SearchParsed(
     const Bundle* bundle = pool.Get(id);
     if (bundle == nullptr || !passes(*bundle)) return;
     ++live_examined;
-    // Pool bundles are stamped by the shard dictionary; anything else
-    // (defensive) scores through the string path, whose matches the
-    // id-resolved bound does not cover.
-    const bool stamped = &bundle->dictionary() == &plan.dictionary();
-    if (prune && heap.size() == k) {
-      const double bound =
-          stamped ? plan.UpperBound(*bundle) : plan.ArchivedUpperBound();
-      if (bound + kPruneSlack < heap.front().score) {
-        ++pruned;
-        return;
-      }
+    // Every pool bundle is stamped by the shard dictionary the plan was
+    // built on (the engine's pool and ImportState both intern into it).
+    if (prune && heap.size() == k &&
+        plan.UpperBound(*bundle) + kPruneSlack < heap.front().score) {
+      ++pruned;
+      return;
     }
     ++scored;
     BundleSearchResult hit;
     hit.bundle = id;
-    hit.score = stamped ? plan.Score(*bundle)
-                        : BundleRelevance(parsed, *bundle, index,
-                                          total_bundles, now, weights_);
+    hit.score = plan.Score(*bundle);
     hit.archived = false;
     PushBounded(&heap, k, std::move(hit));
   });

@@ -18,6 +18,15 @@ namespace {
 
 constexpr char kCurrentName[] = "CURRENT";
 
+/// Each shard's WAL starts a new segment part past this size.
+constexpr uint64_t kWalRotateBytes = 8ull << 20;
+/// Pending encoded bytes that wake the flusher before its group-commit
+/// window ends.
+constexpr uint64_t kWalGroupCommitBytes = 256ull << 10;
+/// Backpressure: EnqueueAppend blocks once this many un-flushed bytes
+/// are pending, bounding the acceptance-to-durability window.
+constexpr uint64_t kWalMaxPendingBytes = 4ull << 20;
+
 bool ParseCheckpointName(const std::string& name, uint64_t* seq) {
   unsigned long long s = 0;
   int consumed = 0;
@@ -236,13 +245,9 @@ void DurabilityManager::NoteReplayed(uint64_t n) {
 }
 
 Status DurabilityManager::StartWal(uint64_t durable_floor) {
-  if (!options_.wal_enabled || !writers_.empty()) return Status::OK();
+  if (!writers_.empty()) return Status::OK();
   WalOptions wal;
-  wal.rotate_bytes = options_.wal_rotate_bytes;
-  wal.flush_every_append = options_.wal_flush_every_append;
-  wal.sync_every_append = options_.wal_sync_every_append;
-  wal.group_commit_interval_us = options_.wal_group_commit_interval_us;
-  wal.group_commit_bytes = options_.wal_group_commit_bytes;
+  wal.rotate_bytes = kWalRotateBytes;
   writers_.reserve(num_shards_);
   for (uint32_t i = 0; i < num_shards_; ++i) {
     wal.dir = ShardWalDir(i);
@@ -286,7 +291,7 @@ Status DurabilityManager::EnqueueAppend(uint32_t shard, uint64_t seq,
   if (writers_.empty()) return Status::OK();
   std::unique_lock<std::mutex> lk(buf_mu_);
   while (flusher_error_.ok() &&
-         pending_bytes_ >= options_.wal_max_pending_bytes) {
+         pending_bytes_ >= kWalMaxPendingBytes) {
     flusher_kick_ = true;
     flusher_cv_.notify_one();
     space_cv_.wait(lk);
@@ -312,7 +317,7 @@ Status DurabilityManager::EnqueueAppend(uint32_t shard, uint64_t seq,
   // shows up as a p99 spike on the first record of every batch). Notify
   // only when the byte threshold demands an early flush, or when no
   // interval is configured and the flusher sleeps indefinitely.
-  if (pending_bytes_ >= options_.wal_group_commit_bytes ||
+  if (pending_bytes_ >= kWalGroupCommitBytes ||
       options_.wal_group_commit_interval_us == 0) {
     flusher_cv_.notify_one();
   }
@@ -369,10 +374,10 @@ void DurabilityManager::FlusherLoop() {
     // WaitDurable kick, or the byte threshold), linger so concurrent
     // producers amortize one flush.
     if (!flusher_stop_ && !flusher_kick_ && interval.count() > 0 &&
-        pending_bytes_ < options_.wal_group_commit_bytes) {
+        pending_bytes_ < kWalGroupCommitBytes) {
       flusher_cv_.wait_for(lk, interval, [&] {
         return flusher_stop_ || flusher_kick_ ||
-               pending_bytes_ >= options_.wal_group_commit_bytes;
+               pending_bytes_ >= kWalGroupCommitBytes;
       });
     }
     flusher_kick_ = false;
@@ -446,12 +451,11 @@ Status DurabilityManager::WriteBatch(const std::vector<std::string>& batch) {
       buf.remove_prefix(len);
       ++records;
     }
-    if (options_.wal_flush_every_append) {
-      MICROPROV_RETURN_IF_ERROR(writers_[shard]->Flush());
-    }
-    if (options_.wal_sync_every_append) {
-      MICROPROV_RETURN_IF_ERROR(writers_[shard]->Sync());
-    }
+    // The watermark published after this batch is what Flush() waits
+    // on, so the records must leave the stdio buffer first.
+    MICROPROV_RETURN_IF_ERROR(options_.wal_sync_every_append
+                                  ? writers_[shard]->Sync()
+                                  : writers_[shard]->Flush());
     if (appends_counter_ != nullptr) {
       appends_counter_->Increment(records);
     }
@@ -472,7 +476,7 @@ Status DurabilityManager::WriteBatch(const std::vector<std::string>& batch) {
 }
 
 bool DurabilityManager::ShouldInstallDelta() const {
-  return options_.incremental_checkpoints && base_seq_ > 0 &&
+  return base_seq_ > 0 &&
          (seq_ - base_seq_ + 1) < options_.full_checkpoint_every;
 }
 

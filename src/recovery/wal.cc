@@ -130,7 +130,7 @@ Status WalWriter::OpenSegment() {
   return Env::Default()->SyncDir(options_.dir);
 }
 
-Status WalWriter::AppendFramed(std::string_view payload) {
+Status WalWriter::AppendEncoded(std::string_view payload) {
   const uint64_t before = writer_->CurrentOffset();
   MICROPROV_RETURN_IF_ERROR(writer_->AddRecord(payload));
   // Offset delta, not payload size: frame headers and block padding are
@@ -144,22 +144,6 @@ Status WalWriter::AppendFramed(std::string_view payload) {
     MICROPROV_RETURN_IF_ERROR(OpenSegment());
   }
   return Status::OK();
-}
-
-Status WalWriter::Append(uint64_t seq, const Message& msg) {
-  scratch_.clear();
-  EncodeWalRecord(seq, msg, &scratch_);
-  MICROPROV_RETURN_IF_ERROR(AppendFramed(scratch_));
-  if (options_.sync_every_append) {
-    MICROPROV_RETURN_IF_ERROR(writer_->Sync());
-  } else if (options_.flush_every_append) {
-    MICROPROV_RETURN_IF_ERROR(writer_->Flush());
-  }
-  return Status::OK();
-}
-
-Status WalWriter::AppendEncoded(std::string_view payload) {
-  return AppendFramed(payload);
 }
 
 Status WalWriter::RotateToEpoch(uint64_t epoch) {
@@ -229,17 +213,6 @@ StatusOr<std::vector<WalTailRecord>> ReadWalTail(const std::string& dir,
     }
   }
   return out;
-}
-
-Status ReplayWal(const std::string& dir, uint64_t after_epoch,
-                 const std::function<Status(Message&&)>& fn,
-                 WalReplayStats* stats) {
-  auto records_or = ReadWalTail(dir, after_epoch, stats);
-  if (!records_or.ok()) return records_or.status();
-  for (WalTailRecord& record : *records_or) {
-    MICROPROV_RETURN_IF_ERROR(fn(std::move(record.msg)));
-  }
-  return Status::OK();
 }
 
 Status RemoveWalSegmentsThrough(const std::string& dir,

@@ -34,10 +34,6 @@ StatusOr<std::unique_ptr<Service>> Service::Open(
   if (options.queue_capacity == 0) {
     return Status::InvalidArgument("queue_capacity must be >= 1");
   }
-  if (options.stats_interval_ms > 0 && !options.stats_callback) {
-    return Status::InvalidArgument(
-        "stats_interval_ms requires a stats_callback");
-  }
   // An inconsistent memory budget fails Open up front (InvalidArgument)
   // rather than misbehaving at the first over-budget allocation.
   Status budget = options.engine.memory.Validate();
@@ -199,17 +195,6 @@ StatusOr<std::unique_ptr<Service>> Service::Open(
         "Cumulative producer time blocked on the shard's full queue"));
   }
 
-  if (options.stats_interval_ms > 0) {
-    service->reporter_ = std::make_unique<obs::StatsReporter>(
-        std::chrono::milliseconds(options.stats_interval_ms),
-        [svc = service.get()] {
-          // Evaluating health first keeps the shipped exposition's
-          // health gauges at most one tick stale.
-          svc->Health();
-          svc->options_.stats_callback(svc->MetricsText());
-        });
-  }
-
   if (options.http_port >= 0) {
     obs::HttpExporter::Options http_options;
     http_options.bind_address = options.http_bind_address;
@@ -361,7 +346,7 @@ StatusOr<IngestResult> Service::Ingest(const Message& msg) {
   clock_.Advance(msg.date);
   ++accepted_;
   ++accepted_since_checkpoint_;
-  if (durability_ != nullptr && durability_->wal_started()) {
+  if (durability_ != nullptr) {
     MICROPROV_RETURN_IF_ERROR(
         durability_->EnqueueAppend(shard, accepted_, msg));
   }
@@ -558,19 +543,13 @@ Status Service::Drain() {
     MICROPROV_RETURN_IF_ERROR(CheckpointLocked(/*force_base=*/true));
     MICROPROV_RETURN_IF_ERROR(durability_->Close());
   }
-  // The stream is over; one final tick ships the end state, then the
-  // reporter goes quiet.
-  if (reporter_ != nullptr) {
-    options_.stats_callback(MetricsText());
-    reporter_->Stop();
-  }
   return Status::OK();
 }
 
 ServiceStats Service::Stats() const {
   // Every source here is an atomic counter, a gauge, or mutex-guarded
   // queue state — never a direct engine read — so this is safe while
-  // shard workers are mid-ingest (and from the StatsReporter thread).
+  // shard workers are mid-ingest (and from the HTTP exporter thread).
   ServiceStats stats;
   stats.messages_ingested = sharded_->messages_ingested();
   for (obs::Gauge* gauge : pool_gauges_) {

@@ -1,7 +1,6 @@
 #ifndef MICROPROV_SERVICE_SERVICE_H_
 #define MICROPROV_SERVICE_SERVICE_H_
 
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -15,7 +14,6 @@
 #include "obs/query_trace.h"
 #include "obs/shard_health.h"
 #include "obs/span.h"
-#include "obs/stats_reporter.h"
 #include "obs/trace.h"
 #include "query/query_processor.h"
 #include "recovery/checkpoint.h"
@@ -75,12 +73,6 @@ struct ServiceOptions {
   int http_port = -1;
   std::string http_bind_address = "127.0.0.1";
 
-  /// When > 0, a background StatsReporter thread invokes
-  /// `stats_callback` every `stats_interval_ms` milliseconds with the
-  /// current Prometheus text exposition. Requires a callback.
-  uint64_t stats_interval_ms = 0;
-  std::function<void(const std::string& prometheus_text)> stats_callback;
-
   /// Crash recovery: set `durability.dir` to make the service
   /// recoverable. Open() then resolves the newest valid checkpoint
   /// chain (base snapshot + incremental deltas) from that directory,
@@ -91,10 +83,11 @@ struct ServiceOptions {
   /// checkpoint runs every `durability.checkpoint_every_messages`
   /// accepted messages (plus on Drain, always a full base). Durability
   /// is asynchronous: Flush() doubles as the durability barrier,
-  /// returning once every accepted message is both ingested and on
-  /// disk per the WAL flush policy. Keep this directory distinct from
-  /// `archive_dir`; both participate in recovery (the checkpoint
-  /// references bundles the stores already hold).
+  /// returning once every accepted message is both ingested and
+  /// flushed to the WAL files (synced too in power-loss mode). Keep
+  /// this directory distinct from `archive_dir`; both participate in
+  /// recovery (the checkpoint references bundles the stores already
+  /// hold).
   recovery::DurabilityOptions durability;
 };
 
@@ -359,11 +352,9 @@ class Service {
   /// input (0 = unbudgeted).
   uint64_t shard_arena_budget_bytes_ = 0;
   bool drained_ = false;
-  /// Declared after the components the scrape handlers read, so they
-  /// are destroyed first (the HTTP server joins its accept loop, then
-  /// the reporter stops) and a late tick or scrape never sees a
-  /// half-torn-down service.
-  std::unique_ptr<obs::StatsReporter> reporter_;
+  /// Declared after the components the scrape handlers read, so it is
+  /// destroyed first (the HTTP server joins its accept loop) and a late
+  /// scrape never sees a half-torn-down service.
   std::unique_ptr<obs::HttpExporter> exporter_;
 };
 

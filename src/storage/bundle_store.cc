@@ -12,6 +12,9 @@ namespace microprov {
 
 namespace {
 
+/// Top keywords per bundle fed into the archive's term index.
+constexpr size_t kIndexKeywordsPerBundle = 10;
+
 // Fragment-level scanner over an in-memory log image. Yields each logical
 // record with its start offset. Tolerates a torn tail.
 class BufferLogScanner {
@@ -181,9 +184,6 @@ Status BundleStore::Put(const Bundle& bundle) {
   EncodeBundle(bundle, &record);
   const uint64_t offset = writer_->CurrentOffset();
   MICROPROV_RETURN_IF_ERROR(writer_->AddRecord(record));
-  if (options_.sync_on_put) {
-    MICROPROV_RETURN_IF_ERROR(writer_->Sync());
-  }
   current_file_size_ = writer_->CurrentOffset();
   index_[bundle.id()] = Location{current_file_number_, offset};
   max_bundle_id_ = std::max(max_bundle_id_, bundle.id());
@@ -222,7 +222,6 @@ void BundleStore::BindMetrics(obs::MetricsRegistry* registry,
 }
 
 void BundleStore::IndexBundleTerms(const Bundle& bundle) {
-  if (!options_.enable_term_index) return;
   auto add = [&](IndicantType type, const std::string& term) {
     std::vector<BundleId>& postings =
         term_index_[static_cast<size_t>(type)][term];
@@ -235,7 +234,7 @@ void BundleStore::IndexBundleTerms(const Bundle& bundle) {
     add(IndicantType::kHashtag, tag);
   }
   for (const auto& [word, count] :
-       bundle.TopKeywords(options_.index_keywords_per_bundle)) {
+       bundle.TopKeywords(kIndexKeywordsPerBundle)) {
     add(IndicantType::kKeyword, word);
   }
 }

@@ -31,14 +31,6 @@ class BundleStore final : public BundleArchive {
     uint64_t rotate_bytes = 64ull << 20;
     /// Decoded-bundle LRU capacity (entries).
     size_t cache_entries = 256;
-    /// fsync after every Put (durability vs. throughput).
-    bool sync_on_put = false;
-    /// Maintain an in-memory term index ((type, term) -> bundle ids,
-    /// for hashtags and top keywords) so queries can reach archived
-    /// bundles. Rebuilt on recovery.
-    bool enable_term_index = true;
-    /// Top keywords per bundle fed into the term index.
-    size_t index_keywords_per_bundle = 10;
   };
 
   static StatusOr<std::unique_ptr<BundleStore>> Open(const Options& options);
@@ -62,7 +54,7 @@ class BundleStore final : public BundleArchive {
 
   /// Archived bundles that carry `term` as an indicant of `type`: a
   /// hashtag, or one of their top keywords (ascending, deduplicated).
-  /// Empty for other types, or when the term index is disabled.
+  /// Empty for other types.
   std::vector<BundleId> FindByTerm(IndicantType type,
                                    const std::string& term) const;
 

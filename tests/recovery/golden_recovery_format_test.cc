@@ -149,7 +149,11 @@ TEST(GoldenRecoveryFormatTest, WalSegmentBytesUnchanged) {
   msg.user = "alice";
   msg.text = "Go #redsox";
   msg.hashtags = {"redsox"};
-  ASSERT_TRUE((*writer_or)->Append(9, msg).ok());
+  // The group-commit flusher's write path: encode, append, flush.
+  std::string payload;
+  recovery::EncodeWalRecord(9, msg, &payload);
+  ASSERT_TRUE((*writer_or)->AppendEncoded(payload).ok());
+  ASSERT_TRUE((*writer_or)->Flush().ok());
   ASSERT_TRUE((*writer_or)->Close().ok());
 
   auto segments_or = recovery::ListWalSegments(options.dir);

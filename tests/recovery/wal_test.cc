@@ -14,11 +14,11 @@
 namespace microprov {
 namespace {
 
+using recovery::EncodeWalRecord;
 using recovery::ListWalSegments;
 using recovery::ParseWalSegmentName;
 using recovery::ReadWalTail;
 using recovery::RemoveWalSegmentsThrough;
-using recovery::ReplayWal;
 using recovery::WalOptions;
 using recovery::WalReplayStats;
 using recovery::WalSegment;
@@ -28,17 +28,24 @@ using testing_util::kTestEpoch;
 using testing_util::MakeMessage;
 using testing_util::ScopedTempDir;
 
+/// Writes one record the way the group-commit flusher does: encode,
+/// append, flush.
+Status Append(WalWriter* writer, uint64_t seq, const Message& msg) {
+  std::string payload;
+  EncodeWalRecord(seq, msg, &payload);
+  MICROPROV_RETURN_IF_ERROR(writer->AppendEncoded(payload));
+  return writer->Flush();
+}
+
 std::vector<Message> Replay(const std::string& dir, uint64_t after_epoch,
                             WalReplayStats* stats) {
   std::vector<Message> out;
-  Status status = ReplayWal(
-      dir, after_epoch,
-      [&](Message&& msg) {
-        out.push_back(std::move(msg));
-        return Status::OK();
-      },
-      stats);
-  EXPECT_TRUE(status.ok()) << status.ToString();
+  auto records_or = ReadWalTail(dir, after_epoch, stats);
+  EXPECT_TRUE(records_or.ok()) << records_or.status().ToString();
+  if (!records_or.ok()) return out;
+  for (WalTailRecord& record : *records_or) {
+    out.push_back(std::move(record.msg));
+  }
   return out;
 }
 
@@ -75,7 +82,7 @@ TEST(WalWriterTest, AppendReplayRoundTrip) {
     written.push_back(MakeMessage(i, kTestEpoch + i,
                                   "user" + std::to_string(i % 5),
                                   {"tag" + std::to_string(i % 3)}));
-    ASSERT_TRUE(writer.Append(i + 1, written.back()).ok());
+    ASSERT_TRUE(Append(&writer, i + 1, written.back()).ok());
   }
   EXPECT_GT(writer.appended_bytes(), 0u);
   ASSERT_TRUE(writer.Close().ok());
@@ -102,10 +109,8 @@ TEST(WalWriterTest, RotatesPartsBySizeAndReplaysInOrder) {
   auto writer_or = WalWriter::Open(options, 1);
   ASSERT_TRUE(writer_or.ok());
   for (int i = 0; i < 100; ++i) {
-    ASSERT_TRUE(
-        (*writer_or)
-            ->Append(i + 1, MakeMessage(i, kTestEpoch + i, "u", {"filler"}))
-            .ok());
+    ASSERT_TRUE(Append(writer_or->get(), i + 1,
+                       MakeMessage(i, kTestEpoch + i, "u", {"filler"})).ok());
   }
   ASSERT_TRUE((*writer_or)->Close().ok());
 
@@ -143,14 +148,14 @@ TEST(WalWriterTest, ReopenStartsFreshPartInsteadOfAppending) {
     auto writer_or = WalWriter::Open(options, 1);
     ASSERT_TRUE(writer_or.ok());
     ASSERT_TRUE(
-        (*writer_or)->Append(1, MakeMessage(1, kTestEpoch, "a")).ok());
+        Append(writer_or->get(), 1, MakeMessage(1, kTestEpoch, "a")).ok());
     ASSERT_TRUE((*writer_or)->Close().ok());
   }
   {
     auto writer_or = WalWriter::Open(options, 1);
     ASSERT_TRUE(writer_or.ok());
     ASSERT_TRUE(
-        (*writer_or)->Append(2, MakeMessage(2, kTestEpoch + 1, "b")).ok());
+        Append(writer_or->get(), 2, MakeMessage(2, kTestEpoch + 1, "b")).ok());
     ASSERT_TRUE((*writer_or)->Close().ok());
   }
   auto segments_or = ListWalSegments(options.dir);
@@ -170,11 +175,11 @@ TEST(WalWriterTest, EpochRotationFiltersAndTruncates) {
   auto writer_or = WalWriter::Open(options, 1);
   ASSERT_TRUE(writer_or.ok());
   WalWriter& writer = **writer_or;
-  ASSERT_TRUE(writer.Append(1, MakeMessage(1, kTestEpoch, "a")).ok());
-  ASSERT_TRUE(writer.Append(2, MakeMessage(2, kTestEpoch + 1, "b")).ok());
+  ASSERT_TRUE(Append(&writer, 1, MakeMessage(1, kTestEpoch, "a")).ok());
+  ASSERT_TRUE(Append(&writer, 2, MakeMessage(2, kTestEpoch + 1, "b")).ok());
   ASSERT_TRUE(writer.RotateToEpoch(2).ok());
   EXPECT_EQ(writer.epoch(), 2u);
-  ASSERT_TRUE(writer.Append(3, MakeMessage(3, kTestEpoch + 2, "c")).ok());
+  ASSERT_TRUE(Append(&writer, 3, MakeMessage(3, kTestEpoch + 2, "c")).ok());
   ASSERT_TRUE(writer.Close().ok());
 
   // Replay after checkpoint 1 sees only epoch-2 records.
@@ -204,10 +209,8 @@ TEST(WalReplayTest, TornTailReadsAsCleanEof) {
   auto writer_or = WalWriter::Open(options, 1);
   ASSERT_TRUE(writer_or.ok());
   for (int i = 0; i < 20; ++i) {
-    ASSERT_TRUE(
-        (*writer_or)
-            ->Append(i + 1, MakeMessage(i, kTestEpoch + i, "user", {"tag"}))
-            .ok());
+    ASSERT_TRUE(Append(writer_or->get(), i + 1,
+                       MakeMessage(i, kTestEpoch + i, "user", {"tag"})).ok());
   }
   ASSERT_TRUE((*writer_or)->Close().ok());
 
@@ -247,16 +250,16 @@ TEST(WalWriterTest, RotateToEpochDoesNotClobberPredecessorSegments) {
     auto writer_or = WalWriter::Open(options, 2);
     ASSERT_TRUE(writer_or.ok());
     ASSERT_TRUE(
-        (*writer_or)->Append(1, MakeMessage(1, kTestEpoch, "a")).ok());
+        Append(writer_or->get(), 1, MakeMessage(1, kTestEpoch, "a")).ok());
     ASSERT_TRUE((*writer_or)->Close().ok());
   }
   auto writer_or = WalWriter::Open(options, 1);
   ASSERT_TRUE(writer_or.ok());
   ASSERT_TRUE(
-      (*writer_or)->Append(2, MakeMessage(2, kTestEpoch + 1, "b")).ok());
+      Append(writer_or->get(), 2, MakeMessage(2, kTestEpoch + 1, "b")).ok());
   ASSERT_TRUE((*writer_or)->RotateToEpoch(2).ok());
   ASSERT_TRUE(
-      (*writer_or)->Append(3, MakeMessage(3, kTestEpoch + 2, "c")).ok());
+      Append(writer_or->get(), 3, MakeMessage(3, kTestEpoch + 2, "c")).ok());
   ASSERT_TRUE((*writer_or)->Close().ok());
 
   // The predecessor's record survives and replays before the rotated
@@ -279,10 +282,8 @@ TEST(WalWriterTest, AppendedBytesMatchOnDiskSegmentSizes) {
   auto writer_or = WalWriter::Open(options, 1);
   ASSERT_TRUE(writer_or.ok());
   for (int i = 0; i < 60; ++i) {
-    ASSERT_TRUE(
-        (*writer_or)
-            ->Append(i + 1, MakeMessage(i, kTestEpoch + i, "user", {"tag"}))
-            .ok());
+    ASSERT_TRUE(Append(writer_or->get(), i + 1,
+                       MakeMessage(i, kTestEpoch + i, "user", {"tag"})).ok());
   }
   const uint64_t appended = (*writer_or)->appended_bytes();
   ASSERT_TRUE((*writer_or)->Close().ok());
@@ -309,10 +310,8 @@ TEST(WalReplayTest, InteriorCorruptionIsAnErrorNotSilentTruncation) {
   auto writer_or = WalWriter::Open(options, 1);
   ASSERT_TRUE(writer_or.ok());
   for (int i = 0; i < 20; ++i) {
-    ASSERT_TRUE(
-        (*writer_or)
-            ->Append(i + 1, MakeMessage(i, kTestEpoch + i, "user", {"tag"}))
-            .ok());
+    ASSERT_TRUE(Append(writer_or->get(), i + 1,
+                       MakeMessage(i, kTestEpoch + i, "user", {"tag"})).ok());
   }
   ASSERT_TRUE((*writer_or)->Close().ok());
 
@@ -335,8 +334,7 @@ TEST(WalReplayTest, InteriorCorruptionIsAnErrorNotSilentTruncation) {
   ASSERT_TRUE(Env::Default()->WriteStringToFile(path, contents).ok());
 
   WalReplayStats stats;
-  Status status = ReplayWal(
-      options.dir, 0, [](Message&&) { return Status::OK(); }, &stats);
+  Status status = ReadWalTail(options.dir, 0, &stats).status();
   EXPECT_TRUE(status.IsCorruption()) << status.ToString();
   EXPECT_GT(stats.dropped_bytes, 0u);
 }
@@ -352,10 +350,8 @@ TEST(WalReplayTest, TornTailInNonFinalSegmentIsAnError) {
     auto writer_or = WalWriter::Open(options, 1);
     ASSERT_TRUE(writer_or.ok());
     for (int i = 0; i < 10; ++i) {
-      ASSERT_TRUE(
-          (*writer_or)
-              ->Append(i + 1, MakeMessage(i, kTestEpoch + i, "user", {"t"}))
-              .ok());
+      ASSERT_TRUE(Append(writer_or->get(), i + 1,
+                         MakeMessage(i, kTestEpoch + i, "user", {"t"})).ok());
     }
     ASSERT_TRUE((*writer_or)->Close().ok());
   }
@@ -363,10 +359,8 @@ TEST(WalReplayTest, TornTailInNonFinalSegmentIsAnError) {
     // Second incarnation: fresh part of the same epoch.
     auto writer_or = WalWriter::Open(options, 1);
     ASSERT_TRUE(writer_or.ok());
-    ASSERT_TRUE(
-        (*writer_or)
-            ->Append(11, MakeMessage(11, kTestEpoch + 11, "user", {"t"}))
-            .ok());
+    ASSERT_TRUE(Append(writer_or->get(), 11,
+                       MakeMessage(11, kTestEpoch + 11, "user", {"t"})).ok());
     ASSERT_TRUE((*writer_or)->Close().ok());
   }
   auto segments_or = ListWalSegments(options.dir);
@@ -381,8 +375,7 @@ TEST(WalReplayTest, TornTailInNonFinalSegmentIsAnError) {
                   .ok());
 
   WalReplayStats stats;
-  Status status = ReplayWal(
-      options.dir, 0, [](Message&&) { return Status::OK(); }, &stats);
+  Status status = ReadWalTail(options.dir, 0, &stats).status();
   EXPECT_TRUE(status.IsCorruption()) << status.ToString();
 
   // The same tear in the FINAL segment stays a clean EOF.
@@ -393,10 +386,8 @@ TEST(WalReplayTest, TornTailInNonFinalSegmentIsAnError) {
     auto writer_or = WalWriter::Open(options2, 1);
     ASSERT_TRUE(writer_or.ok());
     for (int i = 0; i < 10; ++i) {
-      ASSERT_TRUE(
-          (*writer_or)
-              ->Append(i + 1, MakeMessage(i, kTestEpoch + i, "user", {"t"}))
-              .ok());
+      ASSERT_TRUE(Append(writer_or->get(), i + 1,
+                         MakeMessage(i, kTestEpoch + i, "user", {"t"})).ok());
     }
     ASSERT_TRUE((*writer_or)->Close().ok());
   }
@@ -421,9 +412,9 @@ TEST(WalReplayTest, ReadWalTailCarriesSequenceAndProvenance) {
   auto writer_or = WalWriter::Open(options, 3);
   ASSERT_TRUE(writer_or.ok());
   ASSERT_TRUE(
-      (*writer_or)->Append(41, MakeMessage(1, kTestEpoch, "a")).ok());
+      Append(writer_or->get(), 41, MakeMessage(1, kTestEpoch, "a")).ok());
   ASSERT_TRUE(
-      (*writer_or)->Append(42, MakeMessage(2, kTestEpoch + 1, "b")).ok());
+      Append(writer_or->get(), 42, MakeMessage(2, kTestEpoch + 1, "b")).ok());
   ASSERT_TRUE((*writer_or)->Close().ok());
 
   WalReplayStats stats;

@@ -274,15 +274,6 @@ TEST_F(BundleStoreTest, FindByTermKeepsIndicantTypesApart) {
   EXPECT_TRUE((*store_or)->FindByTerm(IndicantType::kUser, "alice").empty());
 }
 
-TEST_F(BundleStoreTest, TermIndexCanBeDisabled) {
-  BundleStore::Options options = StoreOptions();
-  options.enable_term_index = false;
-  auto store_or = BundleStore::Open(options);
-  ASSERT_TRUE(store_or.ok());
-  ASSERT_TRUE((*store_or)->Put(*MakeBundle(1, 3)).ok());
-  EXPECT_TRUE((*store_or)->FindByTerm(IndicantType::kHashtag, "tag1").empty());
-}
-
 TEST_F(BundleStoreTest, CompactionReclaimsSupersededSpace) {
   BundleStore::Options options = StoreOptions();
   options.rotate_bytes = 8192;
