@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <set>
+
+#include "common/random.h"
+#include "storage/bundle_codec.h"
 #include "testing/test_util.h"
 
 namespace microprov {
@@ -362,6 +368,182 @@ TEST_F(BundleStoreTest, TornTailOnRecoveryIsIgnored) {
   ASSERT_TRUE(reopened_or.ok());
   EXPECT_EQ((*reopened_or)->bundle_count(), 1u);
   EXPECT_TRUE((*reopened_or)->Get(1).ok());
+}
+
+// A random bundle whose terms hit every corner of the archive's term
+// index: hashtags repeated inside one message, messages with more than
+// the per-message keyword cap, bundles with no keywords, and runs of
+// single-count keywords that tie at the top-10 cut.
+std::unique_ptr<Bundle> RandomTermBundle(BundleId id, Random* rng) {
+  auto bundle = std::make_unique<Bundle>(id);
+  const size_t messages = rng->Uniform(12);
+  const bool no_keywords = rng->Bernoulli(0.2);
+  const bool flat_keywords = rng->Bernoulli(0.3);
+  for (size_t i = 0; i < messages; ++i) {
+    std::vector<std::string> tags;
+    for (size_t t = rng->Uniform(4); t > 0; --t) {
+      tags.push_back("t" + std::to_string(rng->Uniform(12)));
+    }
+    if (!tags.empty() && rng->Bernoulli(0.3)) tags.push_back(tags.front());
+    std::vector<std::string> words;
+    if (!no_keywords) {
+      for (size_t w = rng->Uniform(10); w > 0; --w) {
+        words.push_back(flat_keywords
+                            ? "f" + std::to_string(id) + "_" +
+                                  std::to_string(i) + "_" +
+                                  std::to_string(w)
+                            : "w" + std::to_string(rng->Uniform(30)));
+      }
+    }
+    const MessageId mid = static_cast<MessageId>(id * 100 + i);
+    bundle->AddMessage(
+        MakeMessage(mid, kTestEpoch + static_cast<Timestamp>(i), "u", tags,
+                    {}, words),
+        i == 0 ? kInvalidMessageId : mid - 1, ConnectionType::kText, 0.5f);
+  }
+  return bundle;
+}
+
+// What the archive's term index promises for one record: every hashtag,
+// and the 10 keywords with the highest counts (count descending, then
+// term ascending), counting each message's first 6 keywords.
+void ExpectedTerms(const Bundle& bundle,
+                   std::map<std::string, std::set<BundleId>>* tags,
+                   std::map<std::string, std::set<BundleId>>* words) {
+  std::map<std::string, uint32_t> counts;
+  for (const BundleMessage& bm : bundle.messages()) {
+    for (const std::string& tag : bm.msg.hashtags) {
+      (*tags)[tag].insert(bundle.id());
+    }
+    for (size_t i = 0; i < bm.msg.keywords.size() &&
+                       i < Bundle::kSummaryKeywordsPerMessage;
+         ++i) {
+      ++counts[bm.msg.keywords[i]];
+    }
+  }
+  std::vector<std::pair<std::string, uint32_t>> ranked(counts.begin(),
+                                                       counts.end());
+  std::stable_sort(ranked.begin(), ranked.end(),
+                   [](const auto& a, const auto& b) {
+                     return a.second > b.second;
+                   });
+  for (size_t i = 0; i < ranked.size() && i < 10; ++i) {
+    (*words)[ranked[i].first].insert(bundle.id());
+  }
+}
+
+TEST_F(BundleStoreTest, TermIndexRebuildsExactlyWhatPutBuilt) {
+  BundleStore::Options options = StoreOptions();
+  options.rotate_bytes = 4096;  // spread the records over several logs
+  Random rng(20261019);
+  std::map<std::string, std::set<BundleId>> tags, words;
+  using Answers = std::map<std::pair<int, std::string>, std::vector<BundleId>>;
+  auto answers = [&](const BundleStore& store) {
+    Answers out;
+    for (const auto* terms : {&tags, &words}) {
+      for (const auto& [term, ids] : *terms) {
+        for (IndicantType type :
+             {IndicantType::kHashtag, IndicantType::kKeyword}) {
+          out[{static_cast<int>(type), term}] = store.FindByTerm(type, term);
+        }
+      }
+    }
+    return out;
+  };
+  Answers before;
+  {
+    auto store_or = BundleStore::Open(options);
+    ASSERT_TRUE(store_or.ok());
+    auto& store = *store_or;
+    for (BundleId id = 1; id <= 80; ++id) {
+      auto bundle = RandomTermBundle(id, &rng);
+      ExpectedTerms(*bundle, &tags, &words);
+      ASSERT_TRUE(store->Put(*bundle).ok());
+    }
+    // One id put again with different terms: postings from both records
+    // stay (FindByTerm is a candidate filter; scoring reads the latest).
+    Bundle again(17);
+    again.AddMessage(MakeMessage(1799, kTestEpoch, "u", {"reput"}, {},
+                                 {"fresh", "fresh", "newer"}),
+                     kInvalidMessageId, ConnectionType::kText, 0.0f);
+    ExpectedTerms(again, &tags, &words);
+    ASSERT_TRUE(store->Put(again).ok());
+    before = answers(*store);
+  }
+  ASSERT_GT(words.size(), 40u);
+
+  for (const auto& [key, ids] : before) {
+    const auto& expected =
+        key.first == static_cast<int>(IndicantType::kHashtag) ? tags : words;
+    auto it = expected.find(key.second);
+    const std::vector<BundleId> want =
+        it == expected.end()
+            ? std::vector<BundleId>{}
+            : std::vector<BundleId>(it->second.begin(), it->second.end());
+    EXPECT_EQ(ids, want) << key.first << " " << key.second;
+  }
+  EXPECT_EQ(before.at({static_cast<int>(IndicantType::kHashtag), "reput"}),
+            (std::vector<BundleId>{17}));
+
+  auto reopened_or = BundleStore::Open(options);
+  ASSERT_TRUE(reopened_or.ok());
+  EXPECT_EQ((*reopened_or)->bundle_count(), 80u);
+  EXPECT_EQ(answers(**reopened_or), before);
+}
+
+TEST_F(BundleStoreTest, RecoverySkipsChecksummedButMalformedRecords) {
+  BundleStore::Options options = StoreOptions();
+  {
+    auto store_or = BundleStore::Open(options);
+    ASSERT_TRUE(store_or.ok());
+    ASSERT_TRUE((*store_or)->Put(*MakeBundle(1, 2)).ok());
+  }
+  auto record_for = [](BundleId id, const std::string& tag) {
+    Bundle bundle(id);
+    bundle.AddMessage(MakeMessage(id * 10, kTestEpoch, "u", {tag}, {},
+                                  {"alpha", "beta", "gamma"}),
+                      kInvalidMessageId, ConnectionType::kText, 0.0f);
+    std::string record;
+    EncodeBundle(bundle, &record);
+    return record;
+  };
+  // Framed with valid CRCs, so only the bundle codec can reject them:
+  // an out-of-range connection type (the byte before the fixed32 score),
+  // and a record cut inside its keyword list.
+  std::string bad_conn = record_for(900, "badconn");
+  bad_conn[bad_conn.size() - 5] = 9;
+  ASSERT_FALSE(DecodeBundle(bad_conn).ok());
+  std::string cut = record_for(901, "cut");
+  cut.resize(cut.find("gamma") + 2);
+  ASSERT_FALSE(DecodeBundle(cut).ok());
+  {
+    auto file_or = Env::Default()->NewWritableFile(options.dir +
+                                                   "/bundles-000050.log");
+    ASSERT_TRUE(file_or.ok());
+    log::Writer writer(std::move(*file_or));
+    ASSERT_TRUE(writer.AddRecord(bad_conn).ok());
+    ASSERT_TRUE(writer.AddRecord(cut).ok());
+    ASSERT_TRUE(writer.AddRecord(record_for(902, "good")).ok());
+    ASSERT_TRUE(writer.Close().ok());
+  }
+
+  auto store_or = BundleStore::Open(options);
+  ASSERT_TRUE(store_or.ok());
+  auto& store = *store_or;
+  EXPECT_EQ(store->bundle_count(), 2u);
+  EXPECT_TRUE(store->Contains(1));
+  EXPECT_TRUE(store->Contains(902));
+  for (BundleId id : {900, 901}) EXPECT_FALSE(store->Contains(id)) << id;
+  EXPECT_TRUE(store->FindByTerm(IndicantType::kHashtag, "badconn").empty());
+  EXPECT_TRUE(store->FindByTerm(IndicantType::kHashtag, "cut").empty());
+  EXPECT_EQ(store->FindByTerm(IndicantType::kHashtag, "good"),
+            (std::vector<BundleId>{902}));
+  for (const char* word : {"alpha", "beta", "gamma"}) {
+    EXPECT_EQ(store->FindByTerm(IndicantType::kKeyword, word),
+              (std::vector<BundleId>{902}))
+        << word;
+  }
+  EXPECT_EQ(store->max_bundle_id(), 902u);
 }
 
 }  // namespace
