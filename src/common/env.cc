@@ -180,15 +180,34 @@ StatusOr<std::vector<std::string>> Env::ListDir(const std::string& path) {
 Status Env::ReadFileToString(const std::string& path,
                              std::string* contents) {
   contents->clear();
-  auto file_or = NewSequentialFile(path);
-  if (!file_or.ok()) return file_or.status();
-  auto& file = *file_or;
-  std::string chunk;
-  for (;;) {
-    MICROPROV_RETURN_IF_ERROR(file->Read(1 << 16, &chunk));
-    if (chunk.empty()) break;
-    contents->append(chunk);
+  const int fd = ::open(path.c_str(), O_RDONLY);
+  if (fd < 0) return ErrnoStatus("open(r) " + path);
+  struct stat st;
+  if (::fstat(fd, &st) != 0) {
+    Status status = ErrnoStatus("fstat " + path);
+    ::close(fd);
+    return status;
   }
+  // One buffer sized from the file; the spare byte lets the final read
+  // see end of file without regrowing it. A file still growing doubles it.
+  contents->resize(static_cast<size_t>(st.st_size) + 1);
+  size_t got = 0;
+  for (;;) {
+    if (got == contents->size()) contents->resize(2 * got);
+    const ssize_t n =
+        ::read(fd, contents->data() + got, contents->size() - got);
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0) {
+      Status status = ErrnoStatus("read " + path);
+      ::close(fd);
+      contents->clear();
+      return status;
+    }
+    if (n == 0) break;
+    got += static_cast<size_t>(n);
+  }
+  ::close(fd);
+  contents->resize(got);
   return Status::OK();
 }
 

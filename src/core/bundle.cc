@@ -75,18 +75,6 @@ uint32_t Bundle::CountOf(IndicantType type, std::string_view value) const {
   return CountOfId(type, dict_->Find(type, value));
 }
 
-std::vector<std::pair<std::string, uint32_t>> Bundle::ResolvedCounts(
-    IndicantType type) const {
-  const TermCounts& counts = counts_[static_cast<size_t>(type)];
-  std::vector<std::pair<std::string, uint32_t>> out;
-  out.reserve(counts.size());
-  for (const auto& [term, count] : counts) {
-    out.emplace_back(dict_->Resolve(type, term), count);
-  }
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
 const BundleMessage* Bundle::LatestByUser(std::string_view user) const {
   return LatestByUserId(dict_->Find(IndicantType::kUser, user));
 }
@@ -117,16 +105,18 @@ std::vector<Edge> Bundle::Edges() const {
 
 std::vector<std::pair<std::string, uint32_t>> Bundle::TopKeywords(
     size_t k) const {
-  std::vector<std::pair<std::string, uint32_t>> all =
-      ResolvedCounts(IndicantType::kKeyword);
-  size_t take = std::min(k, all.size());
-  std::partial_sort(all.begin(), all.begin() + take, all.end(),
-                    [](const auto& a, const auto& b) {
-                      if (a.second != b.second) return a.second > b.second;
-                      return a.first < b.first;
-                    });
-  all.resize(take);
-  return all;
+  const TermCounts& counts = id_counts(IndicantType::kKeyword);
+  std::vector<std::pair<TermId, uint32_t>> top(counts.begin(), counts.end());
+  SelectTopByCount(&top, k, [this](const std::pair<TermId, uint32_t>& e)
+                                -> const std::string& {
+    return dict_->Resolve(IndicantType::kKeyword, e.first);
+  });
+  std::vector<std::pair<std::string, uint32_t>> out;
+  out.reserve(top.size());
+  for (const auto& [term, count] : top) {
+    out.emplace_back(dict_->Resolve(IndicantType::kKeyword, term), count);
+  }
+  return out;
 }
 
 }  // namespace microprov

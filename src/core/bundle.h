@@ -1,6 +1,7 @@
 #ifndef MICROPROV_CORE_BUNDLE_H_
 #define MICROPROV_CORE_BUNDLE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -102,11 +103,6 @@ class Bundle {
     return CountOf(IndicantType::kUser, user) > 0;
   }
 
-  /// The summary for `type` with terms resolved back to surface forms,
-  /// sorted by term for determinism (store dumps, tests).
-  std::vector<std::pair<std::string, uint32_t>> ResolvedCounts(
-      IndicantType type) const;
-
   /// The most recently posted member message by `user`, or nullptr.
   /// O(1) after the term lookup: maintained incrementally for Alg. 2's
   /// RT resolution.
@@ -115,7 +111,8 @@ class Bundle {
   const BundleMessage* LatestByUserId(TermId user) const;
 
   /// Most frequent keywords, ties broken lexicographically — the "summary
-  /// words" column of the paper's Fig. 2 result list.
+  /// words" column of the paper's Fig. 2 result list. Selects on interned
+  /// ids and copies only the k winners' strings.
   std::vector<std::pair<std::string, uint32_t>> TopKeywords(
       size_t k) const;
 
@@ -144,6 +141,47 @@ class Bundle {
   TermCounts counts_[kNumIndicantTypes];
   size_t mem_usage_ = sizeof(Bundle);
 };
+
+/// Keeps the `k` entries of `*items` with the highest counts (`.second`),
+/// ordered by count descending and then term (`term_of(entry)`)
+/// ascending: the summary-word rule of Bundle::TopKeywords and of the
+/// archive's term index. Selects on counts in linear time; terms are
+/// compared only among the entries tied at the k-th count.
+template <typename Entry, typename TermOf>
+void SelectTopByCount(std::vector<Entry>* items, size_t k, TermOf term_of) {
+  auto by_term = [&](const Entry& a, const Entry& b) {
+    return term_of(a) < term_of(b);
+  };
+  if (k == 0) {
+    items->clear();
+    return;
+  }
+  if (k < items->size()) {
+    const auto kth = items->begin() + (k - 1);
+    std::nth_element(items->begin(), kth, items->end(),
+                     [](const Entry& a, const Entry& b) {
+                       return a.second > b.second;
+                     });
+    const auto cut = kth->second;
+    // [first, tied) beat the cut; [tied, tied_end) sit at it, and only
+    // the smallest terms among those fill the last slots.
+    const auto tied =
+        std::partition(items->begin(), kth, [cut](const Entry& e) {
+          return e.second > cut;
+        });
+    const auto tied_end =
+        std::partition(kth + 1, items->end(), [cut](const Entry& e) {
+          return e.second == cut;
+        });
+    std::partial_sort(tied, items->begin() + k, tied_end, by_term);
+    items->resize(k);
+  }
+  std::sort(items->begin(), items->end(),
+            [&](const Entry& a, const Entry& b) {
+              if (a.second != b.second) return a.second > b.second;
+              return by_term(a, b);
+            });
+}
 
 }  // namespace microprov
 

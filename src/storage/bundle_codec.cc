@@ -9,14 +9,10 @@ namespace microprov {
 
 namespace {
 constexpr uint32_t kBundleCodecVersion = 1;
+}  // namespace
 
-struct RecordHeader {
-  BundleId id = 0;
-  bool closed = false;
-  uint32_t count = 0;
-};
-
-Status ReadHeader(std::string_view* encoded, RecordHeader* header) {
+Status ReadBundleRecordHeader(std::string_view* encoded,
+                              BundleRecordHeader* header) {
   uint32_t version = 0;
   uint32_t closed = 0;
   if (!GetVarint32(encoded, &version) || version != kBundleCodecVersion) {
@@ -31,13 +27,9 @@ Status ReadHeader(std::string_view* encoded, RecordHeader* header) {
   return Status::OK();
 }
 
-/// One member entry: its message (decoded into entry->msg, or only
-/// checked when `decode_message` is false), then its connection.
-Status ReadEntry(std::string_view* encoded, bool decode_message,
-                 BundleMessage* entry) {
-  MICROPROV_RETURN_IF_ERROR(decode_message
-                                ? DecodeMessageBinary(encoded, &entry->msg)
-                                : SkipMessageBinary(encoded));
+Status ReadBundleRecordEntry(std::string_view* encoded,
+                             BundleEntryView* entry) {
+  MICROPROV_RETURN_IF_ERROR(ParseMessageBinary(encoded, &entry->msg));
   int64_t parent = 0;
   uint32_t conn_type = 0;
   uint32_t score_bits = 0;
@@ -55,8 +47,6 @@ Status ReadEntry(std::string_view* encoded, bool decode_message,
   return Status::OK();
 }
 
-}  // namespace
-
 void EncodeBundle(const Bundle& bundle, std::string* dst) {
   PutVarint32(dst, kBundleCodecVersion);
   PutVarint64(dst, bundle.id());
@@ -72,13 +62,15 @@ void EncodeBundle(const Bundle& bundle, std::string* dst) {
 
 StatusOr<std::unique_ptr<Bundle>> DecodeBundle(std::string_view encoded,
                                                IndicantDictionary* dict) {
-  RecordHeader header;
-  MICROPROV_RETURN_IF_ERROR(ReadHeader(&encoded, &header));
+  BundleRecordHeader header;
+  MICROPROV_RETURN_IF_ERROR(ReadBundleRecordHeader(&encoded, &header));
   auto bundle = std::make_unique<Bundle>(header.id, dict);
+  BundleEntryView entry;
   for (uint32_t i = 0; i < header.count; ++i) {
-    BundleMessage entry;
-    MICROPROV_RETURN_IF_ERROR(ReadEntry(&encoded, true, &entry));
-    bundle->AddMessage(std::move(entry.msg), entry.parent, entry.conn_type,
+    MICROPROV_RETURN_IF_ERROR(ReadBundleRecordEntry(&encoded, &entry));
+    Message msg;
+    MessageFromView(entry.msg, &msg);
+    bundle->AddMessage(std::move(msg), entry.parent, entry.conn_type,
                        entry.conn_score);
   }
   if (header.closed) bundle->Close();
@@ -86,11 +78,11 @@ StatusOr<std::unique_ptr<Bundle>> DecodeBundle(std::string_view encoded,
 }
 
 Status CheckBundleRecord(std::string_view encoded, BundleId* id) {
-  RecordHeader header;
-  MICROPROV_RETURN_IF_ERROR(ReadHeader(&encoded, &header));
-  BundleMessage entry;
+  BundleRecordHeader header;
+  MICROPROV_RETURN_IF_ERROR(ReadBundleRecordHeader(&encoded, &header));
+  BundleEntryView entry;
   for (uint32_t i = 0; i < header.count; ++i) {
-    MICROPROV_RETURN_IF_ERROR(ReadEntry(&encoded, false, &entry));
+    MICROPROV_RETURN_IF_ERROR(ReadBundleRecordEntry(&encoded, &entry));
   }
   *id = header.id;
   return Status::OK();

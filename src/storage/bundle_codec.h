@@ -8,6 +8,7 @@
 #include "common/status.h"
 #include "common/statusor.h"
 #include "core/bundle.h"
+#include "stream/message_codec.h"
 
 namespace microprov {
 
@@ -23,6 +24,32 @@ void EncodeBundle(const Bundle& bundle, std::string* dst);
 /// to the original.
 StatusOr<std::unique_ptr<Bundle>> DecodeBundle(
     std::string_view encoded, IndicantDictionary* dict = nullptr);
+
+/// The record layout, read in place by one parser (the two functions
+/// below) for DecodeBundle, CheckBundleRecord and the archive's term
+/// index: a header, then `count` member entries.
+struct BundleRecordHeader {
+  BundleId id = 0;
+  bool closed = false;
+  uint32_t count = 0;
+};
+
+/// One member entry: its message and its provenance connection.
+struct BundleEntryView {
+  MessageView msg;
+  MessageId parent = kInvalidMessageId;
+  ConnectionType conn_type = ConnectionType::kText;
+  float conn_score = 0.0f;
+};
+
+/// Reads the header from the front of `*encoded`.
+Status ReadBundleRecordHeader(std::string_view* encoded,
+                              BundleRecordHeader* header);
+
+/// Reads one member entry from the front of `*encoded`, checking its
+/// message and connection type; copies nothing.
+Status ReadBundleRecordEntry(std::string_view* encoded,
+                             BundleEntryView* entry);
 
 /// Runs every check DecodeBundle runs on `encoded` (version, header,
 /// each message, connection type) without building a bundle or copying

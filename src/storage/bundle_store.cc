@@ -7,6 +7,7 @@
 #include "common/string_util.h"
 #include "storage/bundle_codec.h"
 #include "storage/log_format.h"
+#include "storage/log_reader.h"
 
 namespace microprov {
 
@@ -14,83 +15,6 @@ namespace {
 
 /// Top keywords per bundle fed into the archive's term index.
 constexpr size_t kIndexKeywordsPerBundle = 10;
-
-// Fragment-level scanner over an in-memory log image. Yields each logical
-// record with its start offset. Tolerates a torn tail.
-class BufferLogScanner {
- public:
-  explicit BufferLogScanner(std::string_view data) : data_(data) {}
-
-  /// Returns false at end of data. On true, *record and *start_offset are
-  /// set. Corrupt fragments are skipped.
-  bool Next(std::string* record, uint64_t* start_offset) {
-    record->clear();
-    bool in_fragment = false;
-    uint64_t record_start = 0;
-    for (;;) {
-      // Skip block trailers too small for a header.
-      size_t in_block = pos_ % log::kBlockSize;
-      if (log::kBlockSize - in_block < log::kHeaderSize) {
-        pos_ += log::kBlockSize - in_block;
-      }
-      if (pos_ + log::kHeaderSize > data_.size()) return false;
-      const unsigned char* h =
-          reinterpret_cast<const unsigned char*>(data_.data() + pos_);
-      const uint32_t masked_crc = static_cast<uint32_t>(h[0]) |
-                                  (static_cast<uint32_t>(h[1]) << 8) |
-                                  (static_cast<uint32_t>(h[2]) << 16) |
-                                  (static_cast<uint32_t>(h[3]) << 24);
-      const size_t length =
-          static_cast<size_t>(h[4]) | (static_cast<size_t>(h[5]) << 8);
-      const uint8_t type = h[6];
-      if (type == log::kZeroType && length == 0) {
-        pos_ += log::kHeaderSize;
-        continue;
-      }
-      if (pos_ + log::kHeaderSize + length > data_.size()) return false;
-      std::string_view payload(data_.data() + pos_ + log::kHeaderSize,
-                               length);
-      uint32_t crc = crc32c::Extend(
-          0, std::string_view(data_.data() + pos_ + 6, 1));
-      crc = crc32c::Extend(crc, payload);
-      const uint64_t frag_start = pos_;
-      pos_ += log::kHeaderSize + length;
-      if (crc32c::Unmask(masked_crc) != crc ||
-          type > log::kMaxRecordType) {
-        record->clear();
-        in_fragment = false;
-        continue;  // skip corrupt fragment
-      }
-      switch (type) {
-        case log::kFullType:
-          record->assign(payload);
-          *start_offset = frag_start;
-          return true;
-        case log::kFirstType:
-          record->assign(payload);
-          record_start = frag_start;
-          in_fragment = true;
-          break;
-        case log::kMiddleType:
-          if (in_fragment) record->append(payload);
-          break;
-        case log::kLastType:
-          if (in_fragment) {
-            record->append(payload);
-            *start_offset = record_start;
-            return true;
-          }
-          break;
-        default:
-          break;
-      }
-    }
-  }
-
- private:
-  std::string_view data_;
-  uint64_t pos_ = 0;
-};
 
 }  // namespace
 
@@ -136,24 +60,17 @@ Status BundleStore::RecoverFromDir() {
   std::sort(file_numbers_.begin(), file_numbers_.end());
 
   for (uint32_t number : file_numbers_) {
-    std::string contents;
-    MICROPROV_RETURN_IF_ERROR(Env::Default()->ReadFileToString(
-        LogFileName(number), &contents));
-    BufferLogScanner scanner(contents);
+    auto file_or = Env::Default()->NewSequentialFile(LogFileName(number));
+    if (!file_or.ok()) return file_or.status();
+    log::Reader reader(std::move(*file_or));
     std::string record;
-    uint64_t offset = 0;
-    while (scanner.Next(&record, &offset)) {
-      auto bundle_or = DecodeBundle(record);
-      if (!bundle_or.ok()) {
+    while (reader.ReadRecord(&record).ok()) {
+      const uint64_t offset = reader.LastRecordOffset();
+      Status st = IndexRecord(record, Location{number, offset});
+      if (!st.ok()) {
         LOG_WARN() << "skipping undecodable bundle record in file "
-                   << number << " @" << offset << ": "
-                   << bundle_or.status().ToString();
-        continue;
+                   << number << " @" << offset << ": " << st.ToString();
       }
-      const BundleId id = (*bundle_or)->id();
-      index_[id] = Location{number, offset};  // latest record wins
-      max_bundle_id_ = std::max(max_bundle_id_, id);
-      IndexBundleTerms(**bundle_or);
     }
     current_file_number_ = number;
   }
@@ -185,10 +102,9 @@ Status BundleStore::Put(const Bundle& bundle) {
   const uint64_t offset = writer_->CurrentOffset();
   MICROPROV_RETURN_IF_ERROR(writer_->AddRecord(record));
   current_file_size_ = writer_->CurrentOffset();
-  index_[bundle.id()] = Location{current_file_number_, offset};
-  max_bundle_id_ = std::max(max_bundle_id_, bundle.id());
+  MICROPROV_RETURN_IF_ERROR(
+      IndexRecord(record, Location{current_file_number_, offset}));
   cache_.Erase(bundle.id());
-  IndexBundleTerms(bundle);
   ++puts_;
   if (puts_counter_ != nullptr) puts_counter_->Increment();
   if (bytes_counter_ != nullptr) {
@@ -221,22 +137,54 @@ void BundleStore::BindMetrics(obs::MetricsRegistry* registry,
   bundles_gauge_->Set(static_cast<int64_t>(index_.size()));
 }
 
-void BundleStore::IndexBundleTerms(const Bundle& bundle) {
-  auto add = [&](IndicantType type, const std::string& term) {
-    std::vector<BundleId>& postings =
-        term_index_[static_cast<size_t>(type)][term];
-    if (postings.empty() || postings.back() != bundle.id()) {
-      postings.push_back(bundle.id());
+Status BundleStore::IndexRecord(std::string_view record,
+                                Location location) {
+  BundleRecordHeader header;
+  MICROPROV_RETURN_IF_ERROR(ReadBundleRecordHeader(&record, &header));
+  scratch_tags_.clear();
+  scratch_words_.clear();
+  BundleEntryView entry;
+  std::string_view piece;
+  for (uint32_t i = 0; i < header.count; ++i) {
+    MICROPROV_RETURN_IF_ERROR(ReadBundleRecordEntry(&record, &entry));
+    while (entry.msg.hashtags.Pop(&piece)) scratch_tags_.push_back(piece);
+    for (size_t kw = 0; kw < Bundle::kSummaryKeywordsPerMessage &&
+                        entry.msg.keywords.Pop(&piece);
+         ++kw) {
+      scratch_words_.push_back(piece);
+    }
+  }
+  // The whole record parsed, so DecodeBundle would accept it: file it.
+  index_[header.id] = location;  // latest record wins
+  max_bundle_id_ = std::max(max_bundle_id_, header.id);
+  auto add = [&](IndicantType type, std::string_view term) {
+    auto& index = term_index_[static_cast<size_t>(type)];
+    auto it = index.find(term);
+    if (it == index.end()) it = index.try_emplace(std::string(term)).first;
+    std::vector<BundleId>& postings = it->second;
+    if (postings.empty() || postings.back() != header.id) {
+      postings.push_back(header.id);
     }
   };
-  for (const auto& [tag, count] :
-       bundle.ResolvedCounts(IndicantType::kHashtag)) {
-    add(IndicantType::kHashtag, tag);
+  std::sort(scratch_tags_.begin(), scratch_tags_.end());
+  scratch_tags_.erase(std::unique(scratch_tags_.begin(), scratch_tags_.end()),
+                      scratch_tags_.end());
+  for (std::string_view tag : scratch_tags_) add(IndicantType::kHashtag, tag);
+
+  std::sort(scratch_words_.begin(), scratch_words_.end());
+  scratch_counts_.clear();
+  for (std::string_view word : scratch_words_) {
+    if (scratch_counts_.empty() || scratch_counts_.back().first != word) {
+      scratch_counts_.emplace_back(word, 0);
+    }
+    ++scratch_counts_.back().second;
   }
-  for (const auto& [word, count] :
-       bundle.TopKeywords(kIndexKeywordsPerBundle)) {
+  SelectTopByCount(&scratch_counts_, kIndexKeywordsPerBundle,
+                   [](const auto& e) { return e.first; });
+  for (const auto& [word, count] : scratch_counts_) {
     add(IndicantType::kKeyword, word);
   }
+  return Status::OK();
 }
 
 std::vector<BundleId> BundleStore::FindByTerm(

@@ -5,10 +5,12 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
 #include "common/cache.h"
+#include "common/hash.h"
 #include "common/status.h"
 #include "common/statusor.h"
 #include "core/pool.h"
@@ -99,7 +101,12 @@ class BundleStore final : public BundleArchive {
 
   Status RecoverFromDir();
   Status OpenNewLogFile();
-  void IndexBundleTerms(const Bundle& bundle);
+  /// Files the bundle record stored at `location`: its id's point-read
+  /// address, and the id under each of its hashtags and top keywords.
+  /// Reads the record in place, building no Bundle; Put and recovery
+  /// both go through here. Fails, filing nothing, on a record that
+  /// DecodeBundle rejects.
+  Status IndexRecord(std::string_view record, Location location);
   std::string LogFileName(uint32_t number) const;
   Status ReadRecordAt(uint32_t file_number, uint64_t offset,
                       std::string* record);
@@ -116,8 +123,13 @@ class BundleStore final : public BundleArchive {
   LruCache<BundleId, std::shared_ptr<const Bundle>> cache_;
   /// Per IndicantType, like the live summary index: a `#tag` query must
   /// not reach a bundle that carries the word only as a keyword.
-  std::unordered_map<std::string, std::vector<BundleId>>
+  std::unordered_map<std::string, std::vector<BundleId>,
+                     TransparentStringHash, std::equal_to<>>
       term_index_[kNumIndicantTypes];
+  /// IndexRecord's reusable scratch, views into the record it reads.
+  std::vector<std::string_view> scratch_tags_;
+  std::vector<std::string_view> scratch_words_;
+  std::vector<std::pair<std::string_view, uint32_t>> scratch_counts_;
   uint64_t puts_ = 0;
   uint64_t compactions_ = 0;
 

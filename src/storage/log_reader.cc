@@ -74,6 +74,7 @@ int Reader::ReadPhysicalRecord(std::string_view* fragment) {
     uint32_t crc = crc32c::Extend(
         0, std::string_view(buffer_.data() + buffer_pos_ + 6, 1));
     crc = crc32c::Extend(crc, payload);
+    fragment_offset_ = end_of_buffer_offset_ - buffer_.size() + buffer_pos_;
     buffer_pos_ += kHeaderSize + length;
     if (crc32c::Unmask(masked_crc) != crc) {
       dropped_bytes_ += kHeaderSize + length;
@@ -108,6 +109,7 @@ Status Reader::ReadRecord(std::string* record) {
           record->clear();
         }
         record->assign(fragment.data(), fragment.size());
+        record_offset_ = fragment_offset_;
         return Status::OK();
       case kFirstType:
         if (in_fragmented_record) {
@@ -115,6 +117,7 @@ Status Reader::ReadRecord(std::string* record) {
           record->clear();
         }
         record->assign(fragment.data(), fragment.size());
+        record_offset_ = fragment_offset_;
         in_fragmented_record = true;
         break;
       case kMiddleType:

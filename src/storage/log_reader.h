@@ -26,8 +26,9 @@ class Reader {
   /// Reads the next logical record into *record. Returns NotFound at EOF.
   Status ReadRecord(std::string* record);
 
-  /// Byte offset of the first byte after the last returned record.
-  uint64_t LastRecordEndOffset() const { return end_of_buffer_offset_ - buffer_.size() + buffer_pos_; }
+  /// File offset of the first fragment header of the last returned
+  /// record (a point-read address).
+  uint64_t LastRecordOffset() const { return record_offset_; }
 
   uint64_t dropped_bytes() const { return dropped_bytes_; }
 
@@ -49,6 +50,8 @@ class Reader {
   size_t buffer_pos_ = 0;   // read position within buffer_
   bool eof_ = false;
   uint64_t end_of_buffer_offset_ = 0;
+  uint64_t fragment_offset_ = 0;  // of the last physical fragment read
+  uint64_t record_offset_ = 0;
   uint64_t dropped_bytes_ = 0;
   uint64_t torn_tail_bytes_ = 0;
 };

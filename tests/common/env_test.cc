@@ -154,5 +154,19 @@ TEST_F(EnvTest, LargeFileRoundTrip) {
   EXPECT_EQ(contents, big);
 }
 
+TEST_F(EnvTest, ReadFileToStringSizesAtEdges) {
+  // Empty, one byte, and one byte past three 64 KiB chunks.
+  for (size_t size : {size_t{0}, size_t{1}, size_t{3 * 65536 + 1}}) {
+    const std::string path = dir_.path() + "/edge" + std::to_string(size);
+    std::string data(size, '\0');
+    for (size_t i = 0; i < size; ++i) data[i] = static_cast<char>(i * 7);
+    ASSERT_TRUE(env_->WriteStringToFile(path, data).ok());
+    std::string contents = "stale";
+    ASSERT_TRUE(env_->ReadFileToString(path, &contents).ok()) << size;
+    EXPECT_EQ(contents.size(), size);
+    EXPECT_EQ(contents, data) << size;
+  }
+}
+
 }  // namespace
 }  // namespace microprov

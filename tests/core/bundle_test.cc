@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/random.h"
+#include "testing/summary_reference.h"
 #include "testing/test_util.h"
 
 namespace microprov {
@@ -115,6 +117,56 @@ TEST(BundleTest, TopKeywordsTieBreaksLexicographically) {
   auto top = bundle.TopKeywords(10);
   ASSERT_EQ(top.size(), 2u);
   EXPECT_EQ(top[0].first, "apple");
+}
+
+TEST(BundleTest, TopKeywordsMatchesFullSortReference) {
+  // Random bundles with few distinct keywords (heavy ties at every cut)
+  // and with many, checked for every k from 0 past the distinct count.
+  Random rng(4242);
+  for (int trial = 0; trial < 40; ++trial) {
+    Bundle bundle(1);
+    const size_t vocabulary = 1 + rng.Uniform(trial % 2 == 0 ? 8 : 120);
+    const size_t messages = rng.Uniform(40);
+    for (size_t i = 0; i < messages; ++i) {
+      std::vector<std::string> words;
+      for (size_t w = rng.Uniform(9); w > 0; --w) {
+        words.push_back("k" + std::to_string(rng.Uniform(vocabulary)));
+      }
+      bundle.AddMessage(MakeMessage(static_cast<MessageId>(i), kTestEpoch,
+                                    "u", {}, {}, words),
+                        i == 0 ? kInvalidMessageId : 0, ConnectionType::kText,
+                        0);
+    }
+    const size_t distinct =
+        bundle.id_counts(IndicantType::kKeyword).size();
+    for (size_t k = 0; k <= distinct + 2; ++k) {
+      EXPECT_EQ(bundle.TopKeywords(k),
+                testing_util::ReferenceTopKeywords(bundle, k))
+          << "trial " << trial << " k " << k;
+    }
+  }
+}
+
+TEST(BundleTest, TopKeywordsOfSixThousandDistinctKeywords) {
+  // The size of the largest live bundle on a firehose stream: thousands
+  // of keywords, most seen once, so the 10th place is a long tie.
+  Random rng(61);
+  Bundle bundle(1);
+  for (MessageId i = 0; i < 3000; ++i) {
+    std::vector<std::string> words;
+    for (int w = 0; w < 6; ++w) {
+      words.push_back("w" + std::to_string(rng.Uniform(6000)));
+    }
+    bundle.AddMessage(MakeMessage(i, kTestEpoch, "u", {}, {}, words),
+                      i == 0 ? kInvalidMessageId : 0, ConnectionType::kText,
+                      0);
+  }
+  ASSERT_GT(bundle.id_counts(IndicantType::kKeyword).size(), 5000u);
+  for (size_t k : {0, 1, 10, 100, 7000}) {
+    EXPECT_EQ(bundle.TopKeywords(k),
+              testing_util::ReferenceTopKeywords(bundle, k))
+        << k;
+  }
 }
 
 TEST(BundleTest, CloseMarksClosed) {

@@ -8,6 +8,7 @@
 #include "query/query_processor.h"
 #include "storage/bundle_store.h"
 #include "stream/replay.h"
+#include "testing/summary_reference.h"
 #include "testing/test_util.h"
 
 namespace microprov {
@@ -155,8 +156,8 @@ TEST(PersistenceTest, ArchivedBundleRoundTripsExactly) {
   EXPECT_EQ(loaded.size(), live->size());
   EXPECT_EQ(loaded.start_time(), live->start_time());
   EXPECT_EQ(loaded.end_time(), live->end_time());
-  EXPECT_EQ(loaded.ResolvedCounts(IndicantType::kHashtag),
-            live->ResolvedCounts(IndicantType::kHashtag));
+  EXPECT_EQ(testing_util::ResolvedCounts(loaded, IndicantType::kHashtag),
+            testing_util::ResolvedCounts(*live, IndicantType::kHashtag));
   for (size_t i = 0; i < live->size(); ++i) {
     EXPECT_EQ(loaded.messages()[i].msg, live->messages()[i].msg);
     EXPECT_EQ(loaded.messages()[i].parent, live->messages()[i].parent);

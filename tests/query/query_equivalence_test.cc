@@ -15,6 +15,7 @@
 
 #include "query/query_processor.h"
 #include "service/service.h"
+#include "testing/summary_reference.h"
 #include "testing/test_util.h"
 
 namespace microprov {
@@ -89,7 +90,8 @@ std::vector<BundleSearchResult> ReferenceSearch(
                                    query.now, weights);
     result.size = bundle.size();
     result.last_post = bundle.end_time();
-    for (auto& [word, count] : bundle.TopKeywords(10)) {
+    for (auto& [word, count] :
+         testing_util::ReferenceTopKeywords(bundle, 10)) {
       result.summary_words.push_back(word);
     }
     result.archived = archived;
