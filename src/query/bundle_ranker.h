@@ -5,8 +5,6 @@
 #include <vector>
 
 #include "common/clock.h"
-#include "core/bundle.h"
-#include "core/summary_index.h"
 
 namespace microprov {
 
@@ -46,24 +44,10 @@ struct ParsedQuery {
 
 ParsedQuery ParseQuery(const std::string& query);
 
-/// s(q,B): text relevance of the query against the bundle's keyword
-/// summary, IDF-weighted using bundle-level document frequencies from the
-/// summary index (`total_bundles` = live pool size).
-double BundleTextScore(const ParsedQuery& query, const Bundle& bundle,
-                       const SummaryIndex& index, size_t total_bundles);
-
-/// i(q,B): fraction of the query's indicant terms (hashtags, URLs, plus
-/// keywords doubling as hashtags) present in the bundle's summaries.
-double BundleIndicantScore(const ParsedQuery& query, const Bundle& bundle);
-
-/// t(B): freshness of the bundle's last update relative to `now`.
-double BundleFreshness(const Bundle& bundle, Timestamp now,
+/// t(B): freshness of a bundle whose last update was `last_update`,
+/// relative to `now`.
+double BundleFreshness(Timestamp last_update, Timestamp now,
                        double scale_secs);
-
-/// Eq. 7 composite.
-double BundleRelevance(const ParsedQuery& query, const Bundle& bundle,
-                       const SummaryIndex& index, size_t total_bundles,
-                       Timestamp now, const QueryWeights& weights);
 
 }  // namespace microprov
 

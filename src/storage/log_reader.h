@@ -3,6 +3,7 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "common/env.h"
 #include "common/status.h"
@@ -30,6 +31,13 @@ class Reader {
   /// record (a point-read address).
   uint64_t LastRecordOffset() const { return record_offset_; }
 
+  /// File offset just past the last fragment of the record ReadRecord
+  /// just returned: [LastRecordOffset(), LastRecordEnd()) is the span a
+  /// point read fetches. Valid until the next ReadRecord call.
+  uint64_t LastRecordEnd() const {
+    return end_of_buffer_offset_ - buffer_.size() + buffer_pos_;
+  }
+
   uint64_t dropped_bytes() const { return dropped_bytes_; }
 
   /// Subset of dropped_bytes() attributable to a torn tail (crash
@@ -55,6 +63,14 @@ class Reader {
   uint64_t dropped_bytes_ = 0;
   uint64_t torn_tail_bytes_ = 0;
 };
+
+/// Reassembles one record from `*framed`, the file bytes starting at
+/// `offset` that a point read fetched (the span Writer::AddRecord
+/// appended, block-trailer padding included): checks every fragment's
+/// CRC and type, and moves a fragmented record's payloads together in
+/// place. On success *record views the record inside *framed.
+Status UnframeRecord(uint64_t offset, std::string* framed,
+                     std::string_view* record);
 
 }  // namespace log
 }  // namespace microprov

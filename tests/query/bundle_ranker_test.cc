@@ -2,11 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include "testing/relevance_reference.h"
 #include "testing/test_util.h"
 
 namespace microprov {
 namespace {
 
+using testing_util::BundleIndicantScore;
+using testing_util::BundleRelevance;
+using testing_util::BundleTextScore;
 using testing_util::kTestEpoch;
 using testing_util::MakeMessage;
 
@@ -74,8 +78,9 @@ TEST_F(BundleRankerTest, IndicantScoreMatchesHashtags) {
 }
 
 TEST_F(BundleRankerTest, FreshnessDecays) {
-  double now_score = BundleFreshness(bundle_, kTestEpoch + 60, 86400);
-  double later = BundleFreshness(bundle_, kTestEpoch + 10 * 86400, 86400);
+  const Timestamp updated = bundle_.last_update();
+  double now_score = BundleFreshness(updated, kTestEpoch + 60, 86400);
+  double later = BundleFreshness(updated, kTestEpoch + 10 * 86400, 86400);
   EXPECT_GT(now_score, later);
   EXPECT_LE(now_score, 1.0);
   EXPECT_GT(later, 0.0);

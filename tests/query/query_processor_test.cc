@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "testing/alloc_counter.h"
 #include "testing/test_util.h"
 
 namespace microprov {
@@ -253,6 +254,72 @@ TEST_F(BundleQueryTest, FreshBundleRankedAboveStaleOnTie) {
       {.text = "game", .k = 5, .now = kTestEpoch + 20 * kSecondsPerDay + 60});
   ASSERT_EQ(results.size(), 2u);
   EXPECT_GT(results[0].last_post, results[1].last_post);
+}
+
+/// Heap allocations of one archived-only query on a warmed thread, run
+/// against 20 archived bundles of `members` messages each. Every bundle
+/// has the same ten summary words, so materialization copies the same
+/// strings whatever the bundle size.
+uint64_t ArchivedQueryAllocations(size_t members,
+                                  const QueryWeights& weights) {
+  testing_util::ScopedTempDir dir;
+  BundleStore::Options store_options;
+  store_options.dir = dir.path() + "/store";
+  auto store_or = BundleStore::Open(store_options);
+  EXPECT_TRUE(store_or.ok());
+  if (!store_or.ok()) return 0;
+  BundleStore* store = store_or->get();
+  const char* const words[] = {"quak", "harbor", "ferri", "bridg",
+                               "parad", "relief", "wave",  "shore",
+                               "tide",  "storm"};
+  for (BundleId id = 1; id <= 20; ++id) {
+    Bundle bundle(id);
+    for (size_t m = 0; m < members; ++m) {
+      const MessageId mid = static_cast<MessageId>(id * 10000 + m);
+      Message msg = testing_util::MakeMessage(
+          mid, kTestEpoch - static_cast<Timestamp>(id * 60 + m), "old",
+          {"quake"}, {}, {});
+      for (size_t w = 0; w < 6; ++w) {
+        msg.keywords.push_back(words[(m + w) % std::size(words)]);
+      }
+      bundle.AddMessage(std::move(msg),
+                        m == 0 ? kInvalidMessageId : mid - 1,
+                        ConnectionType::kText, 0.5f);
+    }
+    EXPECT_TRUE(store->Put(bundle).ok());
+  }
+  SimulatedClock clock(kTestEpoch);
+  ProvenanceEngine engine(EngineOptions::ForConfig(IndexConfig::kFullIndex),
+                          &clock, nullptr);
+  BundleQueryProcessor processor(&engine, weights, store);
+  const BundleQuery query{.text = "quake harbor", .k = 5, .now = kTestEpoch};
+  EXPECT_EQ(processor.Search(query).size(), 5u);  // warms the scratch
+  const uint64_t before = testing_util::AllocationCount();
+  const std::vector<BundleSearchResult> results = processor.Search(query);
+  const uint64_t allocations = testing_util::AllocationCount() - before;
+  EXPECT_EQ(results.size(), 5u);
+  for (const BundleSearchResult& hit : results) {
+    EXPECT_TRUE(hit.archived);
+    EXPECT_EQ(hit.size, members);
+    EXPECT_EQ(hit.summary_words.size(), 10u);
+  }
+  return allocations;
+}
+
+TEST(ArchivedQueryAllocationTest, DefaultWeightsDecodeNoCandidate) {
+  // Decoding allocates per message; scoring from record bytes and
+  // materializing from summaries do not.
+  EXPECT_EQ(ArchivedQueryAllocations(5, QueryWeights{}),
+            ArchivedQueryAllocations(500, QueryWeights{}));
+}
+
+TEST(ArchivedQueryAllocationTest, QualityWeightDecodesEachCandidate) {
+  // BundleQuality needs the whole bundle: with quality_weight > 0 each
+  // archived candidate is decoded, and allocations grow with its size.
+  QueryWeights weights;
+  weights.quality_weight = 0.2;
+  EXPECT_GT(ArchivedQueryAllocations(500, weights),
+            ArchivedQueryAllocations(5, weights) + 20 * 495);
 }
 
 }  // namespace

@@ -8,6 +8,8 @@
 
 #include "common/random.h"
 #include "storage/bundle_codec.h"
+#include "storage/log_format.h"
+#include "testing/summary_reference.h"
 #include "testing/test_util.h"
 
 namespace microprov {
@@ -75,19 +77,6 @@ TEST_F(BundleStoreTest, ManyBundlesAndListing) {
   auto loaded_or = store->Get(37);
   ASSERT_TRUE(loaded_or.ok());
   EXPECT_EQ((*loaded_or)->size(), 1 + 37 % 7);
-}
-
-TEST_F(BundleStoreTest, CacheServesRepeatedReads) {
-  auto store_or = BundleStore::Open(StoreOptions());
-  ASSERT_TRUE(store_or.ok());
-  auto& store = *store_or;
-  ASSERT_TRUE(store->Put(*MakeBundle(1, 3)).ok());
-  ASSERT_TRUE(store->Get(1).ok());
-  uint64_t misses_after_first = store->cache_misses();
-  ASSERT_TRUE(store->Get(1).ok());
-  ASSERT_TRUE(store->Get(1).ok());
-  EXPECT_EQ(store->cache_misses(), misses_after_first);
-  EXPECT_GE(store->cache_hits(), 2u);
 }
 
 TEST_F(BundleStoreTest, RecoveryAfterReopen) {
@@ -491,6 +480,134 @@ TEST_F(BundleStoreTest, TermIndexRebuildsExactlyWhatPutBuilt) {
   EXPECT_EQ(answers(**reopened_or), before);
 }
 
+// A random bundle for the summary checks: RandomTermBundle's term
+// shapes with member dates out of order, and now and then enough
+// members that the record spans several 32 KiB log blocks.
+std::unique_ptr<Bundle> RandomSummaryBundle(BundleId id, Random* rng) {
+  auto bundle = std::make_unique<Bundle>(id);
+  const size_t messages =
+      rng->Bernoulli(0.1) ? 500 + rng->Uniform(500) : rng->Uniform(12);
+  for (size_t i = 0; i < messages; ++i) {
+    std::vector<std::string> tags;
+    for (size_t t = rng->Uniform(3); t > 0; --t) {
+      tags.push_back("t" + std::to_string(rng->Uniform(12)));
+    }
+    std::vector<std::string> words;
+    for (size_t w = rng->Uniform(10); w > 0; --w) {
+      words.push_back("w" + std::to_string(rng->Uniform(30)));
+    }
+    if (!words.empty() && rng->Bernoulli(0.2)) words.push_back(words[0]);
+    const MessageId mid = static_cast<MessageId>(id * 1000 + i);
+    const Timestamp date =
+        kTestEpoch + static_cast<Timestamp>(rng->Uniform(100000));
+    bundle->AddMessage(MakeMessage(mid, date, "u", tags, {}, words),
+                       i == 0 ? kInvalidMessageId : mid - 1,
+                       ConnectionType::kText, 0.5f);
+  }
+  return bundle;
+}
+
+TEST_F(BundleStoreTest, SummariesMatchDecodedBundles) {
+  BundleStore::Options options = StoreOptions();
+  options.rotate_bytes = 16384;  // spread the records over several logs
+  Random rng(20261020);
+  std::map<BundleId, std::string> encoded;  // what each id last put
+  // Every stored bundle: its record reads back byte for byte, and its
+  // summary equals the decoded bundle's fields and reference top words.
+  auto expect_summaries = [&](BundleStore* store, const std::string& label) {
+    ASSERT_EQ(store->bundle_count(), encoded.size()) << label;
+    std::string buffer;
+    std::string_view record;
+    for (const auto& [id, bytes] : encoded) {
+      SCOPED_TRACE(label + " bundle " + std::to_string(id));
+      ASSERT_TRUE(store->ReadRecord(id, &buffer, &record).ok());
+      EXPECT_EQ(record, bytes);
+      auto bundle_or = DecodeBundle(record);
+      ASSERT_TRUE(bundle_or.ok());
+      const Bundle& bundle = **bundle_or;
+      const ArchivedSummary* summary = store->Summary(id);
+      ASSERT_NE(summary, nullptr);
+      EXPECT_EQ(summary->size, bundle.size());
+      EXPECT_EQ(summary->start_time, bundle.start_time());
+      EXPECT_EQ(summary->end_time, bundle.end_time());
+      EXPECT_EQ(summary->last_update, bundle.last_update());
+      std::vector<std::string> words, want;
+      for (uint32_t i = 0; i < summary->num_words; ++i) {
+        words.push_back(*summary->words[i]);
+      }
+      for (const auto& [word, count] :
+           testing_util::ReferenceTopKeywords(bundle, 10)) {
+        want.push_back(word);
+      }
+      EXPECT_EQ(words, want);
+    }
+  };
+  auto put = [&](BundleStore* store, const Bundle& bundle) {
+    ASSERT_TRUE(store->Put(bundle).ok());
+    EncodeBundle(bundle, &encoded[bundle.id()]);
+  };
+  {
+    auto store_or = BundleStore::Open(options);
+    ASSERT_TRUE(store_or.ok());
+    auto& store = *store_or;
+    for (BundleId id = 1; id <= 60; ++id) {
+      put(store.get(), *RandomSummaryBundle(id, &rng));
+    }
+    expect_summaries(store.get(), "put");
+    // A re-put supersedes: the summary follows the latest record.
+    encoded[17].clear();
+    put(store.get(), *RandomSummaryBundle(17, &rng));
+    expect_summaries(store.get(), "re-put");
+  }
+  size_t multi_block = 0;
+  for (const auto& [id, bytes] : encoded) {
+    multi_block += bytes.size() > log::kBlockSize;
+  }
+  EXPECT_GT(multi_block, 0u);
+
+  auto store_or = BundleStore::Open(options);
+  ASSERT_TRUE(store_or.ok());
+  expect_summaries(store_or->get(), "reopened");
+  ASSERT_TRUE((*store_or)->Compact().ok());
+  expect_summaries(store_or->get(), "compacted");
+  store_or = BundleStore::Open(options);
+  ASSERT_TRUE(store_or.ok());
+  expect_summaries(store_or->get(), "compacted and reopened");
+}
+
+TEST_F(BundleStoreTest, IndexBytesGaugeTracksTheInMemorySide) {
+  BundleStore::Options options = StoreOptions();
+  const std::string label = "shard=\"0\"";
+  uint64_t filled = 0;
+  {
+    auto store_or = BundleStore::Open(options);
+    ASSERT_TRUE(store_or.ok());
+    auto& store = *store_or;
+    obs::MetricsRegistry registry;
+    store->BindMetrics(&registry, label);
+    obs::Gauge* gauge = registry.GetGauge("microprov_store_index_bytes", label);
+    EXPECT_EQ(static_cast<uint64_t>(gauge->value()), store->IndexBytes());
+    const uint64_t empty = store->IndexBytes();
+    Random rng(11);
+    for (BundleId id = 1; id <= 50; ++id) {
+      ASSERT_TRUE(store->Put(*RandomSummaryBundle(id, &rng)).ok());
+      EXPECT_EQ(static_cast<uint64_t>(gauge->value()), store->IndexBytes());
+    }
+    filled = store->IndexBytes();
+    EXPECT_GT(filled, empty + 50 * sizeof(ArchivedSummary));
+  }
+  // Recovery files the same records in the same order.
+  auto store_or = BundleStore::Open(options);
+  ASSERT_TRUE(store_or.ok());
+  obs::MetricsRegistry registry;
+  (*store_or)->BindMetrics(&registry, label);
+  EXPECT_EQ((*store_or)->IndexBytes(), filled);
+  EXPECT_EQ(static_cast<uint64_t>(
+                registry.GetGauge("microprov_store_index_bytes", label)
+                    ->value()),
+            filled);
+}
+
 TEST_F(BundleStoreTest, RecoverySkipsChecksummedButMalformedRecords) {
   BundleStore::Options options = StoreOptions();
   {
@@ -533,7 +650,10 @@ TEST_F(BundleStoreTest, RecoverySkipsChecksummedButMalformedRecords) {
   EXPECT_EQ(store->bundle_count(), 2u);
   EXPECT_TRUE(store->Contains(1));
   EXPECT_TRUE(store->Contains(902));
-  for (BundleId id : {900, 901}) EXPECT_FALSE(store->Contains(id)) << id;
+  for (BundleId id : {900, 901}) {
+    EXPECT_FALSE(store->Contains(id)) << id;
+    EXPECT_EQ(store->Summary(id), nullptr) << id;
+  }
   EXPECT_TRUE(store->FindByTerm(IndicantType::kHashtag, "badconn").empty());
   EXPECT_TRUE(store->FindByTerm(IndicantType::kHashtag, "cut").empty());
   EXPECT_EQ(store->FindByTerm(IndicantType::kHashtag, "good"),

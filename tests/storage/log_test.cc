@@ -178,6 +178,61 @@ TEST_F(LogTest, BinaryPayloadsSurvive) {
   EXPECT_EQ(records[0], binary);
 }
 
+TEST_F(LogTest, PointReadsUnframeEveryRecord) {
+  // Sizes that put records in one fragment, across block boundaries and
+  // over several whole blocks; the small ones shift later records so
+  // some start in a block trailer.
+  const size_t sizes[] = {0,   10,  kBlockSize - 2 * kHeaderSize - 3,
+                          5,   70000, kBlockSize, 1,
+                          40000};
+  std::vector<std::string> records;
+  auto writer = NewWriter();
+  for (size_t i = 0; i < std::size(sizes); ++i) {
+    std::string record(sizes[i], '\0');
+    for (size_t b = 0; b < record.size(); ++b) {
+      record[b] = static_cast<char>('a' + (b * 7 + i) % 26);
+    }
+    ASSERT_TRUE(writer->AddRecord(record).ok());
+    records.push_back(std::move(record));
+  }
+  ASSERT_TRUE(writer->Close().ok());
+
+  struct Span {
+    uint64_t offset;
+    uint64_t end;
+  };
+  std::vector<Span> spans;
+  auto reader = NewReader();
+  std::string record;
+  while (reader->ReadRecord(&record).ok()) {
+    spans.push_back({reader->LastRecordOffset(), reader->LastRecordEnd()});
+  }
+  ASSERT_EQ(spans.size(), records.size());
+
+  auto file_or = Env::Default()->NewRandomAccessFile(LogPath());
+  ASSERT_TRUE(file_or.ok());
+  std::string framed;
+  std::string_view got;
+  for (size_t i = 0; i < spans.size(); ++i) {
+    SCOPED_TRACE("record " + std::to_string(i));
+    const Span& span = spans[i];
+    ASSERT_TRUE(
+        (*file_or)->Read(span.offset, span.end - span.offset, &framed).ok());
+    ASSERT_TRUE(UnframeRecord(span.offset, &framed, &got).ok());
+    EXPECT_EQ(got, records[i]);
+    if (span.end - span.offset <= kHeaderSize) continue;
+    // One byte short, or one flipped payload byte, is corruption.
+    ASSERT_TRUE((*file_or)
+                    ->Read(span.offset, span.end - span.offset - 1, &framed)
+                    .ok());
+    EXPECT_TRUE(UnframeRecord(span.offset, &framed, &got).IsCorruption());
+    ASSERT_TRUE(
+        (*file_or)->Read(span.offset, span.end - span.offset, &framed).ok());
+    framed[framed.size() - 1] ^= 0x20;
+    EXPECT_TRUE(UnframeRecord(span.offset, &framed, &got).IsCorruption());
+  }
+}
+
 TEST_F(LogTest, CurrentOffsetAdvances) {
   auto writer = NewWriter();
   uint64_t off0 = writer->CurrentOffset();
